@@ -596,11 +596,15 @@ impl Fleet {
         let mut retries = 0usize;
         let mut output_tokens = 0usize;
         let (mut kv_transfer_bytes, mut kv_transfer_s) = (0u64, 0.0f64);
-        let mut dec_assigned = vec![0usize; d];
+        let wire_bytes = |r: &Request| kv_per_token * r.prompt_tokens as u64;
+        let decode_est = |r: &Request| -> f64 {
+            (r.output_tokens - 1) as f64 * costs.decode_seconds(r.prompt_tokens + 1)
+        };
 
-        // Round 0 serves the whole trace; later rounds re-prefill the
-        // requests a decode-chip death displaced. Attempts are bounded by
-        // the retry budget, so the loop terminates.
+        // Round 0 serves the whole trace (in trace order, under the
+        // stage-1 routes); later rounds re-prefill the requests a
+        // decode-chip death displaced. Attempts are bounded by the retry
+        // budget, so the loop terminates.
         let mut pending: Vec<PendInst> = trace
             .requests
             .iter()
@@ -610,13 +614,16 @@ impl Fleet {
                 attempt: 0,
             })
             .collect();
+        let mut base = routes.clone();
         let mut round = 0usize;
         while !pending.is_empty() {
-            pending.sort_by(|a, b| {
-                a.req.arrival_s.total_cmp(&b.req.arrival_s).then(a.req.id.cmp(&b.req.id))
-            });
-            let tmp = Trace { requests: pending.iter().map(|i| i.req).collect() };
-            let base = self.stage1_routes(&tmp, Some(costs));
+            if round > 0 {
+                pending.sort_by(|a, b| {
+                    a.req.arrival_s.total_cmp(&b.req.arrival_s).then(a.req.id.cmp(&b.req.id))
+                });
+                let tmp = Trace { requests: pending.iter().map(|i| i.req).collect() };
+                base = self.stage1_routes(&tmp, Some(costs));
+            }
             let out = self.sweep_stage(
                 std::mem::take(&mut pending),
                 &base,
@@ -629,57 +636,86 @@ impl Fleet {
                 &mut chip_events[..p],
             );
             if round == 0 {
-                for ((c, &b), route) in out.initial_chips.iter().zip(&base).zip(&mut routes) {
-                    *route = c.unwrap_or(b);
+                for (c, route) in out.initial_chips.iter().zip(&mut routes) {
+                    if let Some(c) = *c {
+                        *route = c;
+                    }
                 }
             }
             shed_ids.extend(out.shed);
             retries += out.retries;
 
-            // Handoffs: completed prompts with more tokens to decode move
-            // their full-model K/V cache to a health-aware decode chip at
-            // DRAM bandwidth, scaled by the destination's brownout.
-            let mut dec_insts: Vec<PendInst> = Vec::new();
-            let mut dec_chip_of: HashMap<usize, usize> = HashMap::new();
-            let mut kv_seconds_of: HashMap<usize, f64> = HashMap::new();
-            let mut pre_attr_of: HashMap<usize, LatencyAttribution> = HashMap::new();
-            for (inst, done, attr) in out.completions {
+            // Completed prompts in trace order: single-token outputs are
+            // done, the rest hand their full-model K/V cache to a decode
+            // chip at DRAM bandwidth.
+            let mut completions = out.completions;
+            completions.sort_by_key(|(inst, _, _)| inst.req.id);
+            let mut handoffs: Vec<(PendInst, f64, LatencyAttribution)> = Vec::new();
+            for (inst, done, attr) in completions {
                 let orig = orig_of[&inst.req.id];
                 if orig.output_tokens <= 1 {
                     output_tokens += orig.output_tokens;
                     attributions.push(finish_attribution(&inst, done, attr));
-                    continue;
+                } else {
+                    handoffs.push((PendInst { req: orig, ..inst }, done, attr));
                 }
-                let Some((k, _, _)) = place_balanced(dec_segs, &dec_assigned, done) else {
+            }
+            // Each handoff's base decode chip comes from the configured
+            // router over the handoffs in healthy-wire arrival order.
+            let healthy: Vec<Request> = handoffs
+                .iter()
+                .map(|(inst, done, _)| Request {
+                    arrival_s: done + wire_bytes(&inst.req) as f64 / dram_bw,
+                    ..inst.req
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..healthy.len()).collect();
+            order.sort_by(|&a, &b| {
+                let (a, b) = (&healthy[a], &healthy[b]);
+                a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id))
+            });
+            let ordered: Vec<Request> = order.iter().map(|&i| healthy[i]).collect();
+            let mut handoff_base = vec![0usize; healthy.len()];
+            for (&i, k) in
+                order.iter().zip(route_requests(self.spec.router, &ordered, d, &decode_est))
+            {
+                handoff_base[i] = k;
+            }
+
+            // A base chip that is down at handoff time passes the request
+            // to the next live one; the wire runs at the chosen chip's
+            // brownout.
+            let mut dec_insts: Vec<(PendInst, usize)> = Vec::with_capacity(handoffs.len());
+            let mut kv_seconds_of: HashMap<usize, f64> = HashMap::new();
+            let mut pre_attr_of: HashMap<usize, LatencyAttribution> = HashMap::new();
+            for ((inst, done, attr), &base) in handoffs.into_iter().zip(&handoff_base) {
+                let orig = inst.req;
+                let req = orig.id as u64;
+                let Some((k, _, _)) = place_from(dec_segs, base, done) else {
                     // No decode chip is ever up again: the prompt's output
                     // can never be generated.
-                    let req = orig.id as u64;
                     self.recorder.emit(|| Event::serve(done, ServeEvent::Shed { req }));
                     shed_ids.push(orig.id);
                     continue;
                 };
-                dec_assigned[k] += 1;
-                let bytes = kv_per_token * orig.prompt_tokens as u64;
+                let bytes = wire_bytes(&orig);
                 let (_, _, dram_mult) = covering_multipliers(&dec_segs[k], done);
                 let seconds = bytes as f64 / dram_bw * dram_mult;
                 kv_transfer_bytes += bytes;
                 kv_transfer_s += seconds;
                 kv_seconds_of.insert(orig.id, seconds);
                 pre_attr_of.insert(orig.id, attr);
-                dec_chip_of.insert(orig.id, k);
-                let req = orig.id as u64;
                 self.recorder
                     .emit(|| Event::serve(done, ServeEvent::KvTransfer { req, bytes, seconds }));
-                dec_insts.push(PendInst {
-                    req: Request { arrival_s: done + seconds, ..orig },
-                    orig_arrival_s: inst.orig_arrival_s,
-                    attempt: inst.attempt,
-                });
+                dec_insts.push((
+                    PendInst { req: Request { arrival_s: done + seconds, ..orig }, ..inst },
+                    k,
+                ));
             }
-            dec_insts.sort_by(|a, b| {
+            dec_insts.sort_by(|(a, _), (b, _)| {
                 a.req.arrival_s.total_cmp(&b.req.arrival_s).then(a.req.id.cmp(&b.req.id))
             });
-            let dec_base: Vec<usize> = dec_insts.iter().map(|i| dec_chip_of[&i.req.id]).collect();
+            let (dec_insts, dec_base): (Vec<PendInst>, Vec<usize>) = dec_insts.into_iter().unzip();
 
             // Stage 2: decode on the surviving decode chips — no in-stage
             // retry, because a decode-chip death loses the K/V cache and

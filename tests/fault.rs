@@ -156,6 +156,49 @@ proptest! {
         prop_assert_eq!(legacy, faulted, "empty FaultSpec changed the run for {}", spec);
     }
 
+    /// The identity fault: a ×1.0 throttle scripted on any chip at any
+    /// time within the trace horizon drives the whole failure machinery
+    /// (segment sweep, per-window engine runs, handoff placement) with
+    /// every multiplier at 1.0, so the fleet report — and, traced, every
+    /// chip's event stream — must equal the fault-free run for every
+    /// topology and router.
+    #[test]
+    fn an_identity_fault_changes_nothing(
+        seed in 0u64..1_000_000_000,
+        rate in 200.0f64..2000.0,
+        requests in 1usize..32,
+        frac in 0.0f64..1.0,
+        chip_pick in 0usize..8,
+    ) {
+        let trace = mixed_spec(rate, requests).generate(seed);
+        let t = frac * trace.last_arrival_s();
+        for topology in topologies() {
+            for router in ROUTERS {
+                let spec = topology.with_router(router);
+                let identity = FaultSpec::none().throttle(t, chip_pick % spec.chips(), 1.0);
+                let run = |faults: &FaultSpec| {
+                    Fleet::new(spec, binding_replica()).with_faults(faults.clone()).run_detailed(&trace)
+                };
+                prop_assert_eq!(
+                    run(&identity), run(&FaultSpec::none()),
+                    "identity fault changed the report for {}", spec
+                );
+                let traced = |faults: &FaultSpec| {
+                    let (recorder, _sink) = VecSink::recorder();
+                    Fleet::new(spec, binding_replica())
+                        .with_recorder(recorder)
+                        .with_faults(faults.clone())
+                        .run_detailed(&trace)
+                        .replica_events
+                };
+                prop_assert_eq!(
+                    traced(&identity), traced(&FaultSpec::none()),
+                    "identity fault changed a chip's event stream for {}", spec
+                );
+            }
+        }
+    }
+
     /// Degraded modes (clock throttle, DRAM brownout) slow the fleet
     /// down without losing anything: every request still completes, and
     /// the degraded makespan is never shorter than the healthy one.
