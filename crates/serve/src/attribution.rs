@@ -16,7 +16,7 @@ use fusemax_model::exact_split;
 /// The six end-to-end latency buckets, in charge order. The `retry`
 /// bucket (first — it is charged before everything else a surviving
 /// attempt experiences) holds backoff wait plus lost work from replica
-/// failures; it is exactly 0.0 in fault-free runs, so legacy folds are
+/// failures; it is exactly 0.0 in fault-free runs, so their folds are
 /// unchanged bit-for-bit.
 pub const LATENCY_BUCKETS: [&str; 6] =
     ["retry", "queue_wait", "prefill", "stall", "kv_handoff", "decode"];

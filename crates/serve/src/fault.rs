@@ -5,8 +5,9 @@
 //! clock — the same contract as [`crate::TrafficSpec`]: plain data, fully
 //! determined by its inputs, and two runs of the same spec against the
 //! same trace are bit-identical. An **empty** spec is the explicit no-op:
-//! [`crate::Fleet`] short-circuits to the legacy fault-free code path, so
-//! checked-in golden traces and reports stay byte-for-byte unchanged.
+//! [`crate::Fleet`] runs one engine either way, and with nothing scripted
+//! every chip is one healthy up-time window, so fault-free runs reproduce
+//! the checked-in golden traces and reports byte for byte.
 //!
 //! The timeline compiles ([`FaultSpec::segments`]) into per-replica
 //! *up-time segments*: half-open `[start, end)` windows during which the
@@ -116,8 +117,8 @@ impl RetryPolicy {
 /// the fleet reacts to it.
 ///
 /// The default / [`FaultSpec::none`] spec has no events and is the
-/// contract-preserving no-op: [`crate::Fleet`] detects it and runs the
-/// legacy byte-identical path.
+/// contract-preserving no-op: every chip stays up and healthy for the
+/// whole run.
 ///
 /// # Example
 ///
@@ -155,7 +156,7 @@ impl Default for FaultSpec {
 }
 
 impl FaultSpec {
-    /// The empty spec: no faults, legacy byte-identical replay.
+    /// The empty spec: no faults, a fault-free replay.
     pub fn none() -> Self {
         FaultSpec { events: Vec::new(), retry: RetryPolicy::default(), shed_watermark: None }
     }
@@ -457,24 +458,37 @@ pub(crate) struct ReplicaFaults {
 }
 
 impl ReplicaFaults {
-    /// Healthy forever — the engine's faulted path with this value is
-    /// value-identical to the legacy path (`×1.0` is exact in IEEE 754).
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Healthy forever: what every fault-free replay runs under (`×1.0`
+    /// is exact in IEEE 754, so the multipliers change no value).
     pub fn none() -> Self {
         ReplicaFaults { horizon_s: f64::INFINITY, slowdowns: vec![(0.0, 1.0, 1.0)] }
     }
 
-    /// `(compute_mult, dram_mult)` in force at time `t`.
-    pub fn multipliers_at(&self, t: f64) -> (f64, f64) {
-        let mut current = (1.0, 1.0);
-        for &(from, cm, dm) in &self.slowdowns {
-            if from <= t {
-                current = (cm, dm);
-            } else {
+    /// A walk along the step function for a clock that never runs
+    /// backwards: the engine's one lookup per iteration.
+    pub fn walk(&self) -> StepWalk<'_> {
+        StepWalk { steps: self.slowdowns.iter().peekable(), current: (1.0, 1.0) }
+    }
+}
+
+/// A forward-only cursor over a [`ReplicaFaults`] step function.
+pub(crate) struct StepWalk<'a> {
+    steps: std::iter::Peekable<std::slice::Iter<'a, (f64, f64, f64)>>,
+    current: (f64, f64),
+}
+
+impl StepWalk<'_> {
+    /// `(compute_mult, dram_mult)` in force at time `t`, which must not
+    /// precede any earlier query.
+    pub fn at(&mut self, t: f64) -> (f64, f64) {
+        while let Some(&&(from, compute, dram)) = self.steps.peek() {
+            if from > t {
                 break;
             }
+            self.current = (compute, dram);
+            self.steps.next();
         }
-        current
+        self.current
     }
 }
 
@@ -744,9 +758,12 @@ mod tests {
             horizon_s: 10.0,
             slowdowns: vec![(0.0, 1.0, 1.0), (2.0, 2.0, 1.0), (4.0, 2.0, 3.0)],
         };
-        assert_eq!(rf.multipliers_at(0.0), (1.0, 1.0));
-        assert_eq!(rf.multipliers_at(2.0), (2.0, 1.0));
-        assert_eq!(rf.multipliers_at(9.0), (2.0, 3.0));
-        assert_eq!(ReplicaFaults::none().multipliers_at(1e9), (1.0, 1.0));
+        let mut walk = rf.walk();
+        assert_eq!(walk.at(0.0), (1.0, 1.0));
+        assert_eq!(walk.at(1.0), (1.0, 1.0));
+        assert_eq!(walk.at(2.0), (2.0, 1.0));
+        assert_eq!(walk.at(9.0), (2.0, 3.0));
+        assert_eq!(walk.at(9.0), (2.0, 3.0), "repeated queries hold the step");
+        assert_eq!(ReplicaFaults::none().walk().at(1e9), (1.0, 1.0));
     }
 }

@@ -47,7 +47,6 @@ use crate::traffic::{Request, Trace};
 use fusemax_dse::{DesignPoint, FleetSpec, RouterPolicy};
 use fusemax_model::ModelParams;
 use fusemax_telemetry::{Event, Recorder, ServeEvent, VecSink};
-use std::collections::HashMap;
 
 /// A data-parallel (or prefill/decode-disaggregated) fleet of identical
 /// replica chips serving one trace.
@@ -201,11 +200,12 @@ impl Fleet {
         self
     }
 
-    /// Injects a deterministic fault timeline. An empty spec
-    /// ([`FaultSpec::none`]) is the contract-preserving no-op: the run
-    /// takes the legacy fault-free code path and reproduces the golden
-    /// traces and reports byte-for-byte (test-enforced). A non-empty
-    /// spec is validated against the trace horizon at run time.
+    /// Injects a deterministic fault timeline. Every run goes through the
+    /// same failure-aware engine; an empty spec ([`FaultSpec::none`], the
+    /// default) leaves each chip one healthy up-time window, and a
+    /// timeline of identity faults (`×1.0` throttles) changes neither the
+    /// report nor any chip's event stream (test-enforced). The spec is
+    /// validated against the trace horizon at run time.
     pub fn with_faults(mut self, faults: FaultSpec) -> Self {
         self.faults = faults;
         self
@@ -243,23 +243,16 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics if a non-empty fault spec fails
-    /// [`FaultSpec::validate`] against the trace horizon.
+    /// Panics if the fault spec fails [`FaultSpec::validate`] against
+    /// the trace horizon.
     pub fn run_detailed(&self, trace: &Trace) -> FleetReport {
-        let costs = self.template.service_times(trace);
-        if self.faults.is_empty() {
-            // Fault-free: the legacy byte-identical paths, untouched.
-            return match self.spec.prefill_decode {
-                None => self.run_replicated(trace, &costs),
-                Some((p, d)) => self.run_disaggregated(trace, &costs, p.max(1), d.max(1)),
-            };
-        }
         if let Err(e) = self.faults.validate(trace.last_arrival_s()) {
             panic!("invalid fault spec: {e}");
         }
+        let costs = self.template.service_times(trace);
         match self.spec.prefill_decode {
-            None => self.run_replicated_faulted(trace, &costs),
-            Some((p, d)) => self.run_disaggregated_faulted(trace, &costs, p.max(1), d.max(1)),
+            None => self.run_replicated(trace, &costs),
+            Some((p, d)) => self.run_disaggregated(trace, &costs, p.max(1), d.max(1)),
         }
     }
 
@@ -282,192 +275,6 @@ impl Fleet {
             costs.prefill_seconds(r.prompt_tokens) + decode
         };
         route_requests(self.spec.router, &trace.requests, self.stage1_width(), &est)
-    }
-
-    /// One replica chip's run over its sub-trace, optionally traced.
-    fn run_replica(
-        &self,
-        name: String,
-        sub: &Trace,
-        costs: &ServiceTimeTable,
-        start_prefilled: bool,
-        replica_events: &mut Vec<(String, Vec<Event>)>,
-    ) -> (ServeReport, RunSamples) {
-        let (recorder, sink) = if self.recorder.is_enabled() {
-            let (recorder, sink) = VecSink::recorder();
-            (recorder, Some(sink))
-        } else {
-            (Recorder::disabled(), None)
-        };
-        let sim = self.template.fleet_replica(recorder, start_prefilled);
-        let out = sim.run_sampled_with(costs, sub);
-        if let Some(sink) = sink {
-            replica_events.push((name, sink.events()));
-        }
-        out
-    }
-
-    fn run_replicated(&self, trace: &Trace, costs: &ServiceTimeTable) -> FleetReport {
-        let n = self.spec.replicas.max(1);
-        let routes = self.stage1_routes(trace, Some(costs));
-        let mut subs: Vec<Trace> = vec![Trace::default(); n];
-        for (i, r) in trace.requests.iter().enumerate() {
-            let (at, req, replica) = (r.arrival_s, r.id as u64, routes[i]);
-            self.recorder.emit(|| Event::serve(at, ServeEvent::Route { req, replica }));
-            subs[replica].requests.push(*r);
-        }
-
-        let mut replicas = Vec::with_capacity(n);
-        let mut replica_events = Vec::new();
-        let (mut ttft, mut tpot, mut e2e) = (Vec::new(), Vec::new(), Vec::new());
-        let mut attributions = Vec::with_capacity(trace.len());
-        let (mut completed, mut output_tokens) = (0usize, 0usize);
-        for (k, sub) in subs.iter().enumerate() {
-            let (report, samples) =
-                self.run_replica(format!("replica {k}"), sub, costs, false, &mut replica_events);
-            completed += report.completed;
-            output_tokens += report.output_tokens;
-            replicas.push(report);
-            ttft.extend_from_slice(&samples.ttft);
-            tpot.extend_from_slice(&samples.tpot);
-            e2e.extend_from_slice(&samples.e2e);
-            attributions.extend(samples.attributions);
-        }
-        let merged =
-            merge_reports(&replicas, self.spec.chips(), completed, output_tokens, ttft, tpot, e2e);
-        FleetReport {
-            merged,
-            replicas,
-            routes,
-            kv_transfer_bytes: 0,
-            kv_transfer_s: 0.0,
-            replica_events,
-            attributions,
-            faults: FaultStats::default(),
-            shed_ids: Vec::new(),
-        }
-    }
-
-    fn run_disaggregated(
-        &self,
-        trace: &Trace,
-        costs: &ServiceTimeTable,
-        p: usize,
-        d: usize,
-    ) -> FleetReport {
-        let routes = self.stage1_routes(trace, Some(costs));
-
-        // Stage 1: the prefill chips serve prompt-only versions of every
-        // request (prefill produces the first token, so `output = 1`
-        // completes exactly at prefill end).
-        let mut prefill_subs: Vec<Trace> = vec![Trace::default(); p];
-        for (i, r) in trace.requests.iter().enumerate() {
-            let (at, req, replica) = (r.arrival_s, r.id as u64, routes[i]);
-            self.recorder.emit(|| Event::serve(at, ServeEvent::Route { req, replica }));
-            prefill_subs[replica].requests.push(Request { output_tokens: 1, ..*r });
-        }
-
-        let mut replicas = Vec::with_capacity(p + d);
-        let mut replica_events = Vec::new();
-        let mut ttft = Vec::with_capacity(trace.len());
-        let mut done_at: HashMap<usize, f64> = HashMap::with_capacity(trace.len());
-        let mut prefill_attr: HashMap<usize, LatencyAttribution> =
-            HashMap::with_capacity(trace.len());
-        for (k, sub) in prefill_subs.iter().enumerate() {
-            let (report, samples) =
-                self.run_replica(format!("prefill {k}"), sub, costs, false, &mut replica_events);
-            replicas.push(report);
-            ttft.extend_from_slice(&samples.ttft);
-            done_at.extend(samples.completions.iter().copied());
-            prefill_attr.extend(samples.attributions.into_iter().map(|a| (a.req, a)));
-        }
-
-        // Requests whose single output token was produced by prefill are
-        // done; the rest hand their K/V cache to a decode chip, charged
-        // at DRAM bandwidth. The full-model cache moves — every layer's
-        // K/V for the prompt — not just the per-layer resident slice.
-        let arch = self.template.arch();
-        let kv_per_token = self.template.workload().kv_bytes_per_token(arch.word_bytes);
-        let dram_bw = arch.dram_bw_bytes_per_sec;
-        let mut e2e: Vec<f64> = Vec::with_capacity(trace.len());
-        let mut attributions: Vec<LatencyAttribution> = Vec::with_capacity(trace.len());
-        let (mut kv_transfer_bytes, mut kv_transfer_s) = (0u64, 0.0f64);
-        let mut kv_seconds_of: HashMap<usize, f64> = HashMap::new();
-        let mut decode_all: Vec<Request> = Vec::new();
-        for r in &trace.requests {
-            let prefill_done = done_at[&r.id];
-            if r.output_tokens <= 1 {
-                e2e.push(prefill_done - r.arrival_s);
-                // Prefill produced the whole output: the prefill-stage
-                // attribution is the request's attribution.
-                if let Some(a) = prefill_attr.remove(&r.id) {
-                    attributions.push(a);
-                }
-                continue;
-            }
-            let bytes = kv_per_token * r.prompt_tokens as u64;
-            let seconds = bytes as f64 / dram_bw;
-            kv_transfer_bytes += bytes;
-            kv_transfer_s += seconds;
-            kv_seconds_of.insert(r.id, seconds);
-            let req = r.id as u64;
-            self.recorder.emit(|| {
-                Event::serve(prefill_done, ServeEvent::KvTransfer { req, bytes, seconds })
-            });
-            decode_all.push(Request { arrival_s: prefill_done + seconds, ..*r });
-        }
-        // The engine consumes arrivals in order; handoffs are not in
-        // trace order, so sort (ties by id — deterministic).
-        decode_all.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
-
-        // Stage 2: route the handoffs across the decode chips and run
-        // them decode-only.
-        let est = |r: &Request| -> f64 {
-            (r.output_tokens - 1) as f64 * costs.decode_seconds(r.prompt_tokens + 1)
-        };
-        let decode_routes = route_requests(self.spec.router, &decode_all, d, &est);
-        let mut decode_subs: Vec<Trace> = vec![Trace::default(); d];
-        for (j, r) in decode_all.iter().enumerate() {
-            let (at, req, replica) = (r.arrival_s, r.id as u64, p + decode_routes[j]);
-            self.recorder.emit(|| Event::serve(at, ServeEvent::Route { req, replica }));
-            decode_subs[decode_routes[j]].requests.push(*r);
-        }
-        let arrival_of: HashMap<usize, f64> =
-            trace.requests.iter().map(|r| (r.id, r.arrival_s)).collect();
-        let mut tpot = Vec::new();
-        let mut output_tokens: usize =
-            trace.requests.iter().filter(|r| r.output_tokens <= 1).map(|r| r.output_tokens).sum();
-        for (k, sub) in decode_subs.iter().enumerate() {
-            let (report, samples) =
-                self.run_replica(format!("decode {k}"), sub, costs, true, &mut replica_events);
-            output_tokens += report.output_tokens;
-            replicas.push(report);
-            tpot.extend_from_slice(&samples.tpot);
-            for &(id, done) in &samples.completions {
-                let e2e_s = done - arrival_of[&id];
-                e2e.push(e2e_s);
-                attributions.push(LatencyAttribution::with_kv_handoff(
-                    &prefill_attr[&id],
-                    kv_seconds_of[&id],
-                    e2e_s,
-                ));
-            }
-        }
-
-        let completed = e2e.len();
-        let merged =
-            merge_reports(&replicas, self.spec.chips(), completed, output_tokens, ttft, tpot, e2e);
-        FleetReport {
-            merged,
-            replicas,
-            routes,
-            kv_transfer_bytes,
-            kv_transfer_s,
-            replica_events,
-            attributions,
-            faults: FaultStats::default(),
-            shed_ids: Vec::new(),
-        }
     }
 
     /// Narrates the fault timeline (in replay order) onto the fleet
@@ -498,20 +305,18 @@ impl Fleet {
         }
     }
 
-    /// The failure-aware replicated path: one segment sweep over the
-    /// whole fleet, with in-sweep retry/re-route of displaced requests.
-    fn run_replicated_faulted(&self, trace: &Trace, costs: &ServiceTimeTable) -> FleetReport {
+    /// Replicated fleets: one segment sweep over every chip, with
+    /// in-sweep retry and re-routing of requests a failure displaces.
+    fn run_replicated(&self, trace: &Trace, costs: &ServiceTimeTable) -> FleetReport {
         let n = self.spec.replicas.max(1);
         let segs = self.faults.segments(n);
         self.narrate_faults(n);
         let base_routes = self.stage1_routes(trace, Some(costs));
-        let instances: Vec<PendInst> = trace
-            .requests
-            .iter()
-            .map(|r| PendInst { req: *r, orig_arrival_s: r.arrival_s, attempt: 0 })
-            .collect();
-        let mut aggs: Vec<ChipAgg> = (0..n).map(|_| ChipAgg::default()).collect();
-        let mut chip_events: Vec<Vec<Event>> = vec![Vec::new(); n];
+        let instances: Vec<PendInst> =
+            trace.requests.iter().enumerate().map(|(pos, r)| PendInst::new(pos, *r)).collect();
+        let mut aggs = vec![ChipAgg::default(); n];
+        let mut chip_events = vec![Vec::new(); n];
+        let mut attributions: Vec<LatencyAttribution> = Vec::with_capacity(trace.len());
         let out = self.sweep_stage(
             instances,
             &base_routes,
@@ -522,27 +327,12 @@ impl Fleet {
             true,
             &mut aggs,
             &mut chip_events,
+            &mut |inst, done, base| attributions.push(finish_attribution(&inst, done, base)),
         );
         debug_assert!(out.displaced.is_empty(), "in-stage retry never displaces");
 
-        let mut attributions = Vec::with_capacity(out.completions.len());
-        let (mut ttft, mut e2e) = (Vec::new(), Vec::new());
-        for (inst, done, base) in out.completions {
-            let attr = finish_attribution(&inst, done, base);
-            if let Some(t) = attr.ttft_s {
-                ttft.push(t);
-            }
-            e2e.push(attr.e2e_s);
-            attributions.push(attr);
-        }
-        let buffer = self.template.arch().global_buffer_bytes;
-        let replicas: Vec<ServeReport> = aggs.iter().map(|a| a.report(buffer)).collect();
-        let tpot: Vec<f64> = aggs.iter().flat_map(|a| a.tpot.iter().copied()).collect();
-        let completed = attributions.len();
         let output_tokens = aggs.iter().map(|a| a.output_tokens).sum();
-        let merged =
-            merge_reports(&replicas, self.spec.chips(), completed, output_tokens, ttft, tpot, e2e);
-
+        let (merged, replicas) = self.merge_chips(aggs, &attributions, output_tokens);
         let routes: Vec<usize> = out
             .initial_chips
             .iter()
@@ -559,20 +349,20 @@ impl Fleet {
             kv_transfer_bytes: 0,
             kv_transfer_s: 0.0,
             replica_events,
+            faults: FaultStats::of(attributions.len(), out.retries, shed_ids.len()),
             attributions,
-            faults: FaultStats::of(completed, out.retries, shed_ids.len()),
             shed_ids,
         }
     }
 
-    /// The failure-aware disaggregated path. Each round sweeps the
-    /// prefill chips (with in-stage retry — a prefill-chip death never
-    /// disturbs the decode chips, which simply drain), hands completed
-    /// prompts' K/V caches to health-aware decode chips, and sweeps the
-    /// decode chips *without* in-stage retry: a decode-chip death loses
-    /// the K/V cache, so the displaced requests re-enter the next round
-    /// at the prefill stage — the honest re-prefill charge.
-    fn run_disaggregated_faulted(
+    /// Disaggregated fleets, in rounds. Each round sweeps the prefill
+    /// chips (with in-stage retry — a prefill-chip death never disturbs
+    /// the decode chips, which simply drain), hands completed prompts'
+    /// K/V caches to the decode chips, and sweeps the decode chips
+    /// *without* in-stage retry: a decode-chip death loses the K/V cache,
+    /// so the displaced requests re-enter the next round at the prefill
+    /// stage — the honest re-prefill charge.
+    fn run_disaggregated(
         &self,
         trace: &Trace,
         costs: &ServiceTimeTable,
@@ -583,23 +373,27 @@ impl Fleet {
         let (pre_segs, dec_segs) = segs.split_at(p);
         self.narrate_faults(p + d);
 
+        // The full-model K/V cache moves — every layer's K/V for the
+        // prompt, not just the per-layer resident slice.
         let arch = self.template.arch();
         let kv_per_token = self.template.workload().kv_bytes_per_token(arch.word_bytes);
         let dram_bw = arch.dram_bw_bytes_per_sec;
-        let orig_of: HashMap<usize, Request> = trace.requests.iter().map(|r| (r.id, *r)).collect();
+        let wire_bytes = |r: &Request| kv_per_token * r.prompt_tokens as u64;
+        let decode_est = |r: &Request| -> f64 {
+            (r.output_tokens - 1) as f64 * costs.decode_seconds(r.prompt_tokens + 1)
+        };
 
-        let mut aggs: Vec<ChipAgg> = (0..p + d).map(|_| ChipAgg::default()).collect();
-        let mut chip_events: Vec<Vec<Event>> = vec![Vec::new(); p + d];
+        let mut aggs = vec![ChipAgg::default(); p + d];
+        let mut chip_events = vec![Vec::new(); p + d];
         let mut attributions: Vec<LatencyAttribution> = Vec::with_capacity(trace.len());
         let mut routes = self.stage1_routes(trace, Some(costs));
         let mut shed_ids: Vec<usize> = Vec::new();
         let mut retries = 0usize;
         let mut output_tokens = 0usize;
         let (mut kv_transfer_bytes, mut kv_transfer_s) = (0u64, 0.0f64);
-        let wire_bytes = |r: &Request| kv_per_token * r.prompt_tokens as u64;
-        let decode_est = |r: &Request| -> f64 {
-            (r.output_tokens - 1) as f64 * costs.decode_seconds(r.prompt_tokens + 1)
-        };
+        // Per trace position: the wire seconds and prefill-stage
+        // attribution of a request handed to a decode chip.
+        let mut handed: Vec<Option<(f64, LatencyAttribution)>> = vec![None; trace.len()];
 
         // Round 0 serves the whole trace (in trace order, under the
         // stage-1 routes); later rounds re-prefill the requests a
@@ -608,22 +402,19 @@ impl Fleet {
         let mut pending: Vec<PendInst> = trace
             .requests
             .iter()
-            .map(|r| PendInst {
-                req: Request { output_tokens: 1, ..*r },
-                orig_arrival_s: r.arrival_s,
-                attempt: 0,
-            })
+            .enumerate()
+            .map(|(pos, r)| PendInst::new(pos, Request { output_tokens: 1, ..*r }))
             .collect();
         let mut base = routes.clone();
         let mut round = 0usize;
         while !pending.is_empty() {
             if round > 0 {
-                pending.sort_by(|a, b| {
-                    a.req.arrival_s.total_cmp(&b.req.arrival_s).then(a.req.id.cmp(&b.req.id))
-                });
+                pending.sort_unstable_by(|a, b| arrival_order(&a.req, &b.req));
                 let tmp = Trace { requests: pending.iter().map(|i| i.req).collect() };
                 base = self.stage1_routes(&tmp, Some(costs));
             }
+            let mut prompts: Vec<(PendInst, f64, LatencyAttribution)> =
+                Vec::with_capacity(pending.len());
             let out = self.sweep_stage(
                 std::mem::take(&mut pending),
                 &base,
@@ -634,6 +425,7 @@ impl Fleet {
                 true,
                 &mut aggs[..p],
                 &mut chip_events[..p],
+                &mut |inst, done, attr| prompts.push((inst, done, attr)),
             );
             if round == 0 {
                 for (c, route) in out.initial_chips.iter().zip(&mut routes) {
@@ -646,13 +438,11 @@ impl Fleet {
             retries += out.retries;
 
             // Completed prompts in trace order: single-token outputs are
-            // done, the rest hand their full-model K/V cache to a decode
-            // chip at DRAM bandwidth.
-            let mut completions = out.completions;
-            completions.sort_by_key(|(inst, _, _)| inst.req.id);
+            // done, the rest hand their K/V cache to a decode chip.
+            prompts.sort_unstable_by_key(|(inst, _, _)| inst.pos);
             let mut handoffs: Vec<(PendInst, f64, LatencyAttribution)> = Vec::new();
-            for (inst, done, attr) in completions {
-                let orig = orig_of[&inst.req.id];
+            for (inst, done, attr) in prompts {
+                let orig = trace.requests[inst.pos];
                 if orig.output_tokens <= 1 {
                     output_tokens += orig.output_tokens;
                     attributions.push(finish_attribution(&inst, done, attr));
@@ -660,6 +450,7 @@ impl Fleet {
                     handoffs.push((PendInst { req: orig, ..inst }, done, attr));
                 }
             }
+
             // Each handoff's base decode chip comes from the configured
             // router over the handoffs in healthy-wire arrival order.
             let healthy: Vec<Request> = handoffs
@@ -670,10 +461,7 @@ impl Fleet {
                 })
                 .collect();
             let mut order: Vec<usize> = (0..healthy.len()).collect();
-            order.sort_by(|&a, &b| {
-                let (a, b) = (&healthy[a], &healthy[b]);
-                a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id))
-            });
+            order.sort_unstable_by(|&a, &b| arrival_order(&healthy[a], &healthy[b]));
             let ordered: Vec<Request> = order.iter().map(|&i| healthy[i]).collect();
             let mut handoff_base = vec![0usize; healthy.len()];
             for (&i, k) in
@@ -683,11 +471,9 @@ impl Fleet {
             }
 
             // A base chip that is down at handoff time passes the request
-            // to the next live one; the wire runs at the chosen chip's
-            // brownout.
+            // to the next live one; the wire runs at DRAM bandwidth scaled
+            // by the chosen chip's brownout.
             let mut dec_insts: Vec<(PendInst, usize)> = Vec::with_capacity(handoffs.len());
-            let mut kv_seconds_of: HashMap<usize, f64> = HashMap::new();
-            let mut pre_attr_of: HashMap<usize, LatencyAttribution> = HashMap::new();
             for ((inst, done, attr), &base) in handoffs.into_iter().zip(&handoff_base) {
                 let orig = inst.req;
                 let req = orig.id as u64;
@@ -703,23 +489,16 @@ impl Fleet {
                 let seconds = bytes as f64 / dram_bw * dram_mult;
                 kv_transfer_bytes += bytes;
                 kv_transfer_s += seconds;
-                kv_seconds_of.insert(orig.id, seconds);
-                pre_attr_of.insert(orig.id, attr);
+                handed[inst.pos] = Some((seconds, attr));
                 self.recorder
                     .emit(|| Event::serve(done, ServeEvent::KvTransfer { req, bytes, seconds }));
-                dec_insts.push((
-                    PendInst { req: Request { arrival_s: done + seconds, ..orig }, ..inst },
-                    k,
-                ));
+                let req = Request { arrival_s: done + seconds, ..orig };
+                dec_insts.push((PendInst { req, ..inst }, k));
             }
-            dec_insts.sort_by(|(a, _), (b, _)| {
-                a.req.arrival_s.total_cmp(&b.req.arrival_s).then(a.req.id.cmp(&b.req.id))
-            });
+            // The engine consumes arrivals in order.
+            dec_insts.sort_unstable_by(|(a, _), (b, _)| arrival_order(&a.req, &b.req));
             let (dec_insts, dec_base): (Vec<PendInst>, Vec<usize>) = dec_insts.into_iter().unzip();
 
-            // Stage 2: decode on the surviving decode chips — no in-stage
-            // retry, because a decode-chip death loses the K/V cache and
-            // the displaced requests must re-prefill next round.
             let dec_out = self.sweep_stage(
                 dec_insts,
                 &dec_base,
@@ -730,21 +509,17 @@ impl Fleet {
                 false,
                 &mut aggs[p..],
                 &mut chip_events[p..],
+                &mut |inst, done, _| {
+                    let (kv_s, pre) =
+                        handed[inst.pos].take().expect("decoded requests were handed off");
+                    let composed =
+                        LatencyAttribution::with_kv_handoff(&pre, kv_s, done - pre.arrival_s);
+                    output_tokens += inst.req.output_tokens;
+                    attributions.push(finish_attribution(&inst, done, composed));
+                },
             );
             shed_ids.extend(dec_out.shed);
             retries += dec_out.retries;
-            for (inst, done, _) in dec_out.completions {
-                let id = inst.req.id;
-                let orig = orig_of[&id];
-                let pre = &pre_attr_of[&id];
-                let composed = LatencyAttribution::with_kv_handoff(
-                    pre,
-                    kv_seconds_of[&id],
-                    done - pre.arrival_s,
-                );
-                output_tokens += orig.output_tokens;
-                attributions.push(finish_attribution(&inst, done, composed));
-            }
             pending = dec_out
                 .displaced
                 .into_iter()
@@ -753,19 +528,7 @@ impl Fleet {
             round += 1;
         }
 
-        let buffer = self.template.arch().global_buffer_bytes;
-        let replicas: Vec<ServeReport> = aggs.iter().map(|a| a.report(buffer)).collect();
-        let (mut ttft, mut e2e) = (Vec::new(), Vec::new());
-        for a in &attributions {
-            if let Some(t) = a.ttft_s {
-                ttft.push(t);
-            }
-            e2e.push(a.e2e_s);
-        }
-        let tpot: Vec<f64> = aggs.iter().flat_map(|a| a.tpot.iter().copied()).collect();
-        let completed = attributions.len();
-        let merged =
-            merge_reports(&replicas, self.spec.chips(), completed, output_tokens, ttft, tpot, e2e);
+        let (merged, replicas) = self.merge_chips(aggs, &attributions, output_tokens);
         shed_ids.sort_unstable();
         let replica_events = self.name_chip_events(chip_events, |k| {
             if k < p {
@@ -781,8 +544,8 @@ impl Fleet {
             kv_transfer_bytes,
             kv_transfer_s,
             replica_events,
+            faults: FaultStats::of(attributions.len(), retries, shed_ids.len()),
             attributions,
-            faults: FaultStats::of(completed, retries, shed_ids.len()),
             shed_ids,
         }
     }
@@ -797,7 +560,9 @@ impl Fleet {
     /// chips); without it they bubble out in
     /// [`StageOutcome::displaced`] with their attempt already bumped and
     /// their arrival set to the backed-off re-admission time (decode
-    /// chips, whose losses must re-prefill).
+    /// chips, whose losses must re-prefill). Each completion goes to
+    /// `completed` as `(instance, completion time, engine attribution)`,
+    /// in deterministic window-processing order.
     #[allow(clippy::too_many_arguments)]
     fn sweep_stage(
         &self,
@@ -810,6 +575,7 @@ impl Fleet {
         retry_in_stage: bool,
         aggs: &mut [ChipAgg],
         chip_events: &mut [Vec<Event>],
+        completed: &mut dyn FnMut(PendInst, f64, LatencyAttribution),
     ) -> StageOutcome {
         let n = segs.len();
         let mut buckets: Vec<Vec<Vec<PendInst>>> =
@@ -849,9 +615,9 @@ impl Fleet {
             if bucket.is_empty() {
                 continue;
             }
-            bucket.sort_by(|a, b| {
-                a.req.arrival_s.total_cmp(&b.req.arrival_s).then(a.req.id.cmp(&b.req.id))
-            });
+            // Ids are unique within a window, so the unstable sort is
+            // deterministic (and linear on an already-ordered bucket).
+            bucket.sort_unstable_by(|a, b| arrival_order(&a.req, &b.req));
             let sub = Trace { requests: bucket.iter().map(|i| i.req).collect() };
             let rf = segs[k][s].replica_faults();
             let (recorder, sink) = if self.recorder.is_enabled() {
@@ -861,18 +627,14 @@ impl Fleet {
                 (Recorder::disabled(), None)
             };
             let sim = self.template.fleet_replica(recorder, start_prefilled);
-            let run = sim.run_sampled_faulted(costs, &sub, &rf);
+            let run = sim.replay(costs, &sub, &rf);
             if let Some(sink) = sink {
                 chip_events[k].extend(sink.events());
             }
             aggs[k].absorb(&run.report, &run.samples);
-            let mut by_id: HashMap<usize, PendInst> =
-                bucket.into_iter().map(|i| (i.req.id, i)).collect();
-            for (&(id, done), attr) in run.samples.completions.iter().zip(&run.samples.attributions)
-            {
-                let inst = by_id.remove(&id).expect("completion for an instance of this bucket");
-                debug_assert_eq!(attr.req, id);
-                out.completions.push((inst, done, attr.clone()));
+            let retired = run.retired.iter().zip(&run.samples.completions);
+            for ((&j, &(_, done)), attr) in retired.zip(run.samples.attributions) {
+                completed(bucket[j], done, attr);
             }
             if run.lost_active.is_empty() && run.lost_waiting.is_empty() {
                 continue;
@@ -889,15 +651,15 @@ impl Fleet {
                 None => false,
             };
             let mut lost_active = run.lost_active;
-            lost_active.sort_unstable();
+            lost_active.sort_unstable_by_key(|&j| bucket[j].req.id);
             let mut lost_waiting = run.lost_waiting;
-            lost_waiting.sort_unstable();
+            lost_waiting.sort_unstable_by_key(|&j| bucket[j].req.id);
             let losses = lost_active
                 .into_iter()
-                .map(|id| (id, false))
-                .chain(lost_waiting.into_iter().map(|id| (id, true)));
-            for (id, waiting) in losses {
-                let inst = by_id.remove(&id).expect("loss for an instance of this bucket");
+                .map(|j| (bucket[j], false))
+                .chain(lost_waiting.into_iter().map(|j| (bucket[j], true)));
+            for (inst, waiting) in losses {
+                let id = inst.req.id;
                 let req = id as u64;
                 if waiting && shed_waiting {
                     self.recorder.emit(|| Event::serve(dead_at, ServeEvent::Shed { req }));
@@ -927,8 +689,8 @@ impl Fleet {
                             assigned[k2] += 1;
                             buckets[k2][s2].push(PendInst {
                                 req: Request { arrival_s: at, ..inst.req },
-                                orig_arrival_s: inst.orig_arrival_s,
                                 attempt,
+                                ..inst
                             });
                         }
                         None => {
@@ -943,8 +705,8 @@ impl Fleet {
                     });
                     out.displaced.push(PendInst {
                         req: Request { arrival_s: eff, ..inst.req },
-                        orig_arrival_s: inst.orig_arrival_s,
                         attempt,
+                        ..inst
                     });
                 }
             }
@@ -952,9 +714,29 @@ impl Fleet {
         out
     }
 
+    /// The fleet-level report and per-chip reports from the chips'
+    /// aggregates and the requests' final attributions (whose TTFT and
+    /// end-to-end latency already include any retry and K/V wire time).
+    fn merge_chips(
+        &self,
+        aggs: Vec<ChipAgg>,
+        attributions: &[LatencyAttribution],
+        output_tokens: usize,
+    ) -> (ServeReport, Vec<ServeReport>) {
+        let buffer = self.template.arch().global_buffer_bytes;
+        let tpot: Vec<f64> = aggs.iter().flat_map(|a| a.tpot.iter().copied()).collect();
+        let replicas: Vec<ServeReport> = aggs.into_iter().map(|a| a.report(buffer)).collect();
+        let ttft = attributions.iter().filter_map(|a| a.ttft_s).collect();
+        let e2e = attributions.iter().map(|a| a.e2e_s).collect();
+        let completed = attributions.len();
+        let merged =
+            merge_reports(&replicas, self.spec.chips(), completed, output_tokens, ttft, tpot, e2e);
+        (merged, replicas)
+    }
+
     /// Labels the per-chip event streams for [`FleetReport::replica_events`]
     /// — one `(name, events)` entry per chip when traced (even for chips
-    /// that stayed idle), none otherwise, matching the legacy contract.
+    /// that stayed idle), none otherwise.
     fn name_chip_events(
         &self,
         chip_events: Vec<Vec<Event>>,
@@ -967,15 +749,24 @@ impl Fleet {
     }
 }
 
-/// One not-yet-completed request instance flowing through the faulted
-/// fleet: the request as the next engine run will see it (its arrival is
-/// the effective re-admission time after any backoff), the original
-/// trace arrival, and how many retry attempts it has consumed.
+/// One not-yet-completed request instance flowing through the fleet: the
+/// request as the next engine run will see it (its arrival is the
+/// effective re-admission time after any backoff), its position in the
+/// fleet's trace, the original trace arrival, and how many retry attempts
+/// it has consumed.
 #[derive(Debug, Clone, Copy)]
 struct PendInst {
     req: Request,
+    pos: usize,
     orig_arrival_s: f64,
     attempt: usize,
+}
+
+impl PendInst {
+    /// The first attempt of the trace request at `pos`.
+    fn new(pos: usize, req: Request) -> Self {
+        PendInst { req, pos, orig_arrival_s: req.arrival_s, attempt: 0 }
+    }
 }
 
 /// Accumulates one chip's reports and samples across the several engine
@@ -1009,7 +800,7 @@ impl ChipAgg {
         self.e2e.extend_from_slice(&samples.e2e);
     }
 
-    fn report(&self, buffer_bytes: u64) -> ServeReport {
+    fn report(mut self, buffer_bytes: u64) -> ServeReport {
         let makespan = self.makespan_s;
         ServeReport {
             completed: self.completed,
@@ -1027,9 +818,9 @@ impl ChipAgg {
             peak_resident_bytes: self.peak_resident_bytes,
             peak_batch: self.peak_batch,
             buffer_bytes,
-            ttft: LatencyStats::of(&mut self.ttft.clone()),
-            tpot: LatencyStats::of(&mut self.tpot.clone()),
-            e2e: LatencyStats::of(&mut self.e2e.clone()),
+            ttft: LatencyStats::of(&mut self.ttft),
+            tpot: LatencyStats::of(&mut self.tpot),
+            e2e: LatencyStats::of(&mut self.e2e),
         }
     }
 }
@@ -1037,9 +828,6 @@ impl ChipAgg {
 /// What one [`Fleet::sweep_stage`] pass produced.
 #[derive(Debug, Default)]
 struct StageOutcome {
-    /// `(instance, completion time, engine attribution)` per completed
-    /// request, in deterministic window-processing order.
-    completions: Vec<(PendInst, f64, LatencyAttribution)>,
     /// Instances displaced by a failure when `retry_in_stage` is off:
     /// attempt already bumped, arrival set to the re-admission time.
     displaced: Vec<PendInst>,
@@ -1067,6 +855,11 @@ fn finish_attribution(inst: &PendInst, done: f64, base: LatencyAttribution) -> L
     } else {
         base
     }
+}
+
+/// The engine's arrival order: by arrival time, ties by request id.
+fn arrival_order(a: &Request, b: &Request) -> std::cmp::Ordering {
+    a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id))
 }
 
 /// The first chip at or after `base` (cyclically) with an up-time window
@@ -1375,34 +1168,6 @@ mod tests {
         // End-to-end latency includes both stages plus the wire, so the
         // fleet e2e mean can never beat the prefill-only stage's.
         assert!(detailed.merged.e2e.mean >= detailed.merged.ttft.mean);
-    }
-
-    #[test]
-    fn an_empty_fault_spec_reproduces_the_legacy_run_byte_for_byte() {
-        let trace = mixed_trace(300.0, 50);
-        for spec in [FleetSpec::replicated(3), FleetSpec::disaggregated(1, 2)] {
-            let legacy = Fleet::new(spec, replica()).run_detailed(&trace);
-            let nofault =
-                Fleet::new(spec, replica()).with_faults(FaultSpec::none()).run_detailed(&trace);
-            assert_eq!(legacy, nofault, "{spec}");
-            assert_eq!(nofault.faults, FaultStats::default());
-            assert!(nofault.shed_ids.is_empty());
-            // The traced event streams are byte-identical too.
-            let stream = |fleet: Fleet| {
-                let (recorder, sink) = VecSink::recorder();
-                fleet.with_recorder(recorder).run_detailed(&trace);
-                sink.events()
-                    .iter()
-                    .map(fusemax_telemetry::event_json)
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            assert_eq!(
-                stream(Fleet::new(spec, replica())),
-                stream(Fleet::new(spec, replica()).with_faults(FaultSpec::none())),
-                "{spec}"
-            );
-        }
     }
 
     #[test]

@@ -197,34 +197,9 @@ impl ServeSim {
         }
     }
 
-    /// A simulator with the default policy and no recorder.
-    #[deprecated(note = "use `ServeSim::builder(kind, arch, workload, params).build()`")]
-    pub fn new(
-        kind: ConfigKind,
-        arch: ArchConfig,
-        workload: TransformerConfig,
-        params: ModelParams,
-    ) -> Self {
-        Self::builder(kind, arch, workload, params).build()
-    }
-
-    /// Replaces the scheduler policy.
-    #[deprecated(note = "use `ServeSim::builder(...).policy(...)`")]
-    pub fn with_policy(mut self, policy: SchedulerPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// The scheduler policy replays run under.
     pub fn policy(&self) -> SchedulerPolicy {
         self.policy
-    }
-
-    /// Attaches a telemetry recorder.
-    #[deprecated(note = "use `ServeSim::builder(...).recorder(...)`")]
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
     }
 
     /// A simulator for a DSE design point: the point's configuration,
@@ -319,8 +294,41 @@ impl ServeSim {
         costs: &ServiceTimeTable,
         trace: &Trace,
     ) -> (ServeReport, RunSamples) {
+        let run = self.replay(costs, trace, &ReplicaFaults::none());
+        (run.report, run.samples)
+    }
+
+    /// The serving engine. Serves `trace` on a replica that may be
+    /// degraded (compute throttle scales prefill and decode, DRAM
+    /// brownout additionally scales decode) and may fail-stop at
+    /// `faults.horizon_s`; every public replay runs here under
+    /// [`ReplicaFaults::none`].
+    ///
+    /// Semantics:
+    ///
+    /// * Iterations are atomic. An iteration that would finish after the
+    ///   fail-stop instant never commits — the chip dies at its last
+    ///   committed iteration boundary, in-flight requests (including any
+    ///   admitted this iteration) lose their K/V state and are returned in
+    ///   `lost_active`, and waiting/unarrived requests in `lost_waiting`
+    ///   (as trace positions).
+    /// * Degradation multipliers are looked up once per iteration at its
+    ///   start time. `×1.0` is exact in IEEE 754, so a healthy replica
+    ///   reports exactly what an unscaled replay would.
+    /// * Prefill telemetry for an iteration is buffered and published
+    ///   only when the iteration commits, so the event stream never
+    ///   narrates work the dead chip didn't do. Arrival and admission
+    ///   events stay inline — they are real history even when the chip
+    ///   later dies.
+    pub(crate) fn replay(
+        &self,
+        costs: &ServiceTimeTable,
+        trace: &Trace,
+        faults: &ReplicaFaults,
+    ) -> ReplayOutcome {
         let reqs = &trace.requests;
         let buffer = self.arch.global_buffer_bytes;
+        let horizon = faults.horizon_s;
 
         let mut clock = 0.0f64;
         let mut busy = 0.0f64;
@@ -336,12 +344,19 @@ impl ServeSim {
         let mut e2e = Vec::with_capacity(reqs.len());
         let mut tpot = Vec::new();
         let mut completions: Vec<(usize, f64)> = Vec::with_capacity(reqs.len());
+        let mut retired: Vec<usize> = Vec::with_capacity(reqs.len());
         let mut attributions: Vec<LatencyAttribution> = Vec::with_capacity(reqs.len());
         let mut completed = 0usize;
         let mut output_tokens = 0usize;
+        let mut lost_active: Vec<usize> = Vec::new();
+        let mut lost_waiting: Vec<usize> = Vec::new();
+        let mut died = false;
 
         let unbounded = self.policy.is_unbounded();
         let ratio = self.policy.waiting_served_ratio;
+        let mut multipliers = faults.walk();
+        let mut granted: Vec<Option<usize>> = Vec::new();
+        let mut charged: Vec<f64> = Vec::new();
 
         loop {
             // Pull every request that has arrived by now into the
@@ -357,6 +372,12 @@ impl ServeSim {
             }
             if active.is_empty() && queue.is_empty() {
                 if next >= reqs.len() {
+                    break;
+                }
+                if reqs[next].arrival_s >= horizon {
+                    // The chip dies before the next arrival; everything
+                    // still to come was routed to a corpse.
+                    died = true;
                     break;
                 }
                 // Idle: jump to the next arrival.
@@ -421,22 +442,24 @@ impl ServeSim {
             peak_resident_bytes = peak_resident_bytes.max(resident_bytes);
             peak_batch = peak_batch.max(active.len());
 
-            // One engine iteration: prefill the newly admitted (whole
-            // prompts, or token-budgeted chunks under a chunked policy)
-            // and decode one token for every prefilled resident. `granted`
-            // records each unprefilled request's prompt-token progress
-            // this iteration (`None` = starved by the chunk budget).
+            // One engine iteration under the degradation multipliers in
+            // force at its start: prefill the newly admitted (whole
+            // prompts, or token-budgeted chunks under a chunked policy;
+            // compute-bound, × compute) and decode one token for every
+            // prefilled resident (bandwidth-bound, × compute × dram).
+            // `granted` records each unprefilled request's prompt-token
+            // progress this iteration (`None` = starved by the chunk
+            // budget); `charged` the prefill seconds charged to each
+            // (attribution only).
+            let (compute_mult, dram_mult) = multipliers.at(clock);
             let mut step = 0.0f64;
             let mut chunk_budget = self.policy.chunk_tokens.unwrap_or(0);
-            let mut granted: Vec<Option<usize>> = Vec::with_capacity(active.len());
-            // Prefill seconds charged to each active request this
-            // iteration (attribution only; `step` accumulates the exact
-            // same values in the exact same order as before).
-            let mut charged: Vec<f64> = Vec::with_capacity(active.len());
+            granted.clear();
+            charged.clear();
             for a in &active {
                 let mut cost = 0.0f64;
                 let grant = if a.prefilled {
-                    step += costs.decode_seconds(a.context);
+                    step += costs.decode_seconds(a.context) * compute_mult * dram_mult;
                     None
                 } else if let Some(chunk) = self.policy.chunk_tokens {
                     let need = a.context - a.prefilled_tokens;
@@ -446,33 +469,53 @@ impl ServeSim {
                         Some(0)
                     } else if want <= chunk_budget {
                         chunk_budget -= want;
-                        let (req, context) = (reqs[a.idx].id as u64, a.context);
-                        if a.prefilled_tokens == 0 {
-                            self.recorder.emit(|| {
-                                Event::serve(clock, ServeEvent::PrefillStart { req, context })
-                            });
-                        }
-                        let (tokens, remaining) = (want, need - want);
-                        self.recorder.emit(|| {
-                            Event::serve(clock, ServeEvent::PrefillChunk { req, tokens, remaining })
-                        });
                         cost = costs
-                            .prefill_chunk_seconds(a.prefilled_tokens, a.prefilled_tokens + want);
+                            .prefill_chunk_seconds(a.prefilled_tokens, a.prefilled_tokens + want)
+                            * compute_mult;
                         step += cost;
                         Some(want)
                     } else {
                         None
                     }
                 } else {
-                    let (req, context) = (reqs[a.idx].id as u64, a.context);
-                    self.recorder
-                        .emit(|| Event::serve(clock, ServeEvent::PrefillStart { req, context }));
-                    cost = costs.prefill_seconds(a.context);
+                    cost = costs.prefill_seconds(a.context) * compute_mult;
                     step += cost;
                     Some(a.context)
                 };
                 granted.push(grant);
                 charged.push(cost);
+            }
+            if clock + step > horizon {
+                // The chip fail-stops mid-iteration: nothing commits.
+                died = true;
+                break;
+            }
+            // The iteration commits: narrate its prefill work (a dead
+            // chip never narrates work it didn't do).
+            if self.recorder.is_enabled() {
+                for (a, grant) in active.iter().zip(&granted) {
+                    let (req, context) = (reqs[a.idx].id as u64, a.context);
+                    match (*grant, self.policy.chunk_tokens) {
+                        (Some(_), None) => self.recorder.emit(|| {
+                            Event::serve(clock, ServeEvent::PrefillStart { req, context })
+                        }),
+                        (Some(tokens), Some(_)) if tokens > 0 => {
+                            if a.prefilled_tokens == 0 {
+                                self.recorder.emit(|| {
+                                    Event::serve(clock, ServeEvent::PrefillStart { req, context })
+                                });
+                            }
+                            let remaining = context - a.prefilled_tokens - tokens;
+                            self.recorder.emit(|| {
+                                Event::serve(
+                                    clock,
+                                    ServeEvent::PrefillChunk { req, tokens, remaining },
+                                )
+                            });
+                        }
+                        _ => {}
+                    }
+                }
             }
             clock += step;
             busy += step;
@@ -524,281 +567,7 @@ impl ServeSim {
                     completed += 1;
                     output_tokens += r.output_tokens;
                     completions.push((r.id, clock));
-                    let e2e_s = clock - r.arrival_s;
-                    e2e.push(e2e_s);
-                    attributions.push(LatencyAttribution::from_run(
-                        r.id,
-                        r.arrival_s,
-                        a.admit_s,
-                        a.prefill_busy_s,
-                        if self.start_prefilled { None } else { Some(a.ttft_s) },
-                        e2e_s,
-                    ));
-                    if r.output_tokens > 1 {
-                        tpot.push((clock - a.first_token_s) / (r.output_tokens - 1) as f64);
-                    }
-                } else {
-                    i += 1;
-                }
-            }
-        }
-
-        let makespan = clock;
-        let report = ServeReport {
-            completed,
-            output_tokens,
-            iterations,
-            makespan_s: makespan,
-            busy_s: busy,
-            goodput_rps: if makespan > 0.0 { completed as f64 / makespan } else { 0.0 },
-            token_throughput_per_s: if makespan > 0.0 {
-                output_tokens as f64 / makespan
-            } else {
-                0.0
-            },
-            utilization: if makespan > 0.0 { busy / makespan } else { 0.0 },
-            peak_resident_bytes,
-            peak_batch,
-            buffer_bytes: buffer,
-            ttft: LatencyStats::of(&mut ttft),
-            tpot: LatencyStats::of(&mut tpot),
-            e2e: LatencyStats::of(&mut e2e),
-        };
-        (report, RunSamples { ttft, tpot, e2e, completions, attributions })
-    }
-
-    /// The fault-aware twin of [`ServeSim::run_sampled_with`]: serves
-    /// `trace` on a replica that may be degraded (compute throttle scales
-    /// prefill and decode, DRAM brownout additionally scales decode) and
-    /// may fail-stop at `faults.horizon_s`.
-    ///
-    /// Semantics:
-    ///
-    /// * Iterations are atomic. An iteration that would finish after the
-    ///   fail-stop instant never commits — the chip dies at its last
-    ///   committed iteration boundary, in-flight requests (including any
-    ///   admitted this iteration) lose their K/V state and are returned in
-    ///   `lost_active`, and waiting/unarrived requests in `lost_waiting`.
-    /// * Degradation multipliers are looked up once per iteration at its
-    ///   start time; `×1.0` is bit-exact in IEEE 754, so a run under
-    ///   [`ReplicaFaults::none`] is value-identical to the legacy path
-    ///   (the fleet layer still routes fault-free runs through
-    ///   [`ServeSim::run_sampled_with`] itself for byte-identity of the
-    ///   event stream closure structure).
-    /// * Prefill telemetry for an iteration is buffered and published
-    ///   only when the iteration commits, so the event stream never
-    ///   narrates work the dead chip didn't do. Arrival and admission
-    ///   events stay inline — they are real history even when the chip
-    ///   later dies.
-    pub(crate) fn run_sampled_faulted(
-        &self,
-        costs: &ServiceTimeTable,
-        trace: &Trace,
-        faults: &ReplicaFaults,
-    ) -> FaultedOutcome {
-        let reqs = &trace.requests;
-        let buffer = self.arch.global_buffer_bytes;
-        let horizon = faults.horizon_s;
-
-        let mut clock = 0.0f64;
-        let mut busy = 0.0f64;
-        let mut next = 0usize;
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut active: Vec<Active> = Vec::new();
-        let mut resident_bytes = 0u64;
-        let mut peak_resident_bytes = 0u64;
-        let mut peak_batch = 0usize;
-        let mut iterations = 0usize;
-
-        let mut ttft = Vec::with_capacity(reqs.len());
-        let mut e2e = Vec::with_capacity(reqs.len());
-        let mut tpot = Vec::new();
-        let mut completions: Vec<(usize, f64)> = Vec::with_capacity(reqs.len());
-        let mut attributions: Vec<LatencyAttribution> = Vec::with_capacity(reqs.len());
-        let mut completed = 0usize;
-        let mut output_tokens = 0usize;
-        let mut lost_active: Vec<usize> = Vec::new();
-        let mut lost_waiting: Vec<usize> = Vec::new();
-        let mut died = false;
-
-        let unbounded = self.policy.is_unbounded();
-        let ratio = self.policy.waiting_served_ratio;
-
-        loop {
-            while next < reqs.len() && reqs[next].arrival_s <= clock {
-                let (at, req) = (reqs[next].arrival_s, reqs[next].id as u64);
-                self.recorder.emit(|| Event::serve(at, ServeEvent::Arrive { req }));
-                if !unbounded {
-                    self.recorder.emit(|| Event::serve(at, ServeEvent::Enqueue { req }));
-                }
-                queue.push_back(next);
-                next += 1;
-            }
-            if active.is_empty() && queue.is_empty() {
-                if next >= reqs.len() {
-                    break;
-                }
-                if reqs[next].arrival_s >= horizon {
-                    // The chip dies before the next arrival; everything
-                    // still to come was routed to a corpse.
-                    died = true;
-                    break;
-                }
-                clock = reqs[next].arrival_s;
-                continue;
-            }
-
-            loop {
-                let pos = match self.policy.queue_order {
-                    QueueOrder::Fcfs => 0,
-                    QueueOrder::ShortestPromptFirst => (0..queue.len())
-                        .min_by_key(|&j| (reqs[queue[j]].prompt_tokens, queue[j]))
-                        .unwrap_or(0),
-                };
-                let Some(&i) = queue.get(pos) else { break };
-                let bytes = self.request_kv_bytes(reqs[i].prompt_tokens, reqs[i].output_tokens);
-                if !active.is_empty() && resident_bytes + bytes > buffer {
-                    break;
-                }
-                if ratio > 0.0
-                    && !active.is_empty()
-                    && (queue.len() as f64) < ratio * active.len() as f64
-                {
-                    break;
-                }
-                queue.remove(pos);
-                let req = reqs[i].id as u64;
-                if !unbounded {
-                    self.recorder.emit(|| Event::serve(clock, ServeEvent::Dequeue { req }));
-                }
-                self.recorder.emit(|| Event::serve(clock, ServeEvent::Admit { req }));
-                resident_bytes += bytes;
-                active.push(Active {
-                    idx: i,
-                    prefilled: self.start_prefilled,
-                    remaining: reqs[i].output_tokens.saturating_sub(1),
-                    context: if self.start_prefilled {
-                        reqs[i].prompt_tokens + 1
-                    } else {
-                        reqs[i].prompt_tokens
-                    },
-                    prefilled_tokens: if self.start_prefilled { reqs[i].prompt_tokens } else { 0 },
-                    kv_bytes: bytes,
-                    first_token_s: if self.start_prefilled { clock } else { 0.0 },
-                    admit_s: clock,
-                    prefill_busy_s: 0.0,
-                    ttft_s: 0.0,
-                });
-            }
-            peak_resident_bytes = peak_resident_bytes.max(resident_bytes);
-            peak_batch = peak_batch.max(active.len());
-
-            // One iteration under the degradation multipliers in force at
-            // its start. Prefill is compute-bound (× compute), decode is
-            // bandwidth-bound (× compute × dram).
-            let (compute_mult, dram_mult) = faults.multipliers_at(clock);
-            let mut step = 0.0f64;
-            let mut chunk_budget = self.policy.chunk_tokens.unwrap_or(0);
-            let mut granted: Vec<Option<usize>> = Vec::with_capacity(active.len());
-            let mut charged: Vec<f64> = Vec::with_capacity(active.len());
-            // Prefill narration held back until the iteration commits.
-            let mut pending: Vec<Event> = Vec::new();
-            let narrate = self.recorder.is_enabled();
-            for a in &active {
-                let mut cost = 0.0f64;
-                let grant = if a.prefilled {
-                    step += costs.decode_seconds(a.context) * compute_mult * dram_mult;
-                    None
-                } else if let Some(chunk) = self.policy.chunk_tokens {
-                    let need = a.context - a.prefilled_tokens;
-                    let want = need.min(chunk);
-                    if need == 0 {
-                        Some(0)
-                    } else if want <= chunk_budget {
-                        chunk_budget -= want;
-                        let (req, context) = (reqs[a.idx].id as u64, a.context);
-                        if narrate {
-                            if a.prefilled_tokens == 0 {
-                                pending.push(Event::serve(
-                                    clock,
-                                    ServeEvent::PrefillStart { req, context },
-                                ));
-                            }
-                            let (tokens, remaining) = (want, need - want);
-                            pending.push(Event::serve(
-                                clock,
-                                ServeEvent::PrefillChunk { req, tokens, remaining },
-                            ));
-                        }
-                        cost = costs
-                            .prefill_chunk_seconds(a.prefilled_tokens, a.prefilled_tokens + want)
-                            * compute_mult;
-                        step += cost;
-                        Some(want)
-                    } else {
-                        None
-                    }
-                } else {
-                    let (req, context) = (reqs[a.idx].id as u64, a.context);
-                    if narrate {
-                        pending
-                            .push(Event::serve(clock, ServeEvent::PrefillStart { req, context }));
-                    }
-                    cost = costs.prefill_seconds(a.context) * compute_mult;
-                    step += cost;
-                    Some(a.context)
-                };
-                granted.push(grant);
-                charged.push(cost);
-            }
-            if clock + step > horizon {
-                // The chip fail-stops mid-iteration: nothing commits.
-                died = true;
-                break;
-            }
-            self.recorder.publish(pending);
-            clock += step;
-            busy += step;
-            iterations += 1;
-            let (batch, resident_kv, depth) = (active.len(), resident_bytes, queue.len());
-            self.recorder
-                .emit(|| Event::serve(clock, ServeEvent::DecodeIter { batch, resident_kv }));
-            self.recorder.emit(|| Event::serve(clock, ServeEvent::QueueDepthSample { depth }));
-            if !unbounded {
-                self.recorder.emit(|| Event::serve(clock, ServeEvent::WaitingDepth { depth }));
-            }
-
-            for ((a, grant), &cost) in active.iter_mut().zip(&granted).zip(&charged) {
-                if a.prefilled {
-                    a.remaining = a.remaining.saturating_sub(1);
-                    a.context += 1;
-                    continue;
-                }
-                let Some(tokens) = *grant else { continue };
-                a.prefill_busy_s += cost;
-                a.prefilled_tokens += tokens;
-                if a.prefilled_tokens >= reqs[a.idx].prompt_tokens {
-                    a.prefilled = true;
-                    a.first_token_s = clock;
-                    a.context += 1;
-                    let req = reqs[a.idx].id as u64;
-                    self.recorder.emit(|| Event::serve(clock, ServeEvent::PrefillEnd { req }));
-                    let t = clock - reqs[a.idx].arrival_s;
-                    a.ttft_s = t;
-                    ttft.push(t);
-                }
-            }
-            let mut i = 0;
-            while i < active.len() {
-                if active[i].prefilled && active[i].remaining == 0 {
-                    let a = active.remove(i);
-                    let r = &reqs[a.idx];
-                    let req = r.id as u64;
-                    self.recorder.emit(|| Event::serve(clock, ServeEvent::Complete { req }));
-                    resident_bytes -= a.kv_bytes;
-                    completed += 1;
-                    output_tokens += r.output_tokens;
-                    completions.push((r.id, clock));
+                    retired.push(a.idx);
                     let e2e_s = clock - r.arrival_s;
                     e2e.push(e2e_s);
                     attributions.push(LatencyAttribution::from_run(
@@ -821,9 +590,9 @@ impl ServeSim {
         if died {
             // Everything still on the chip loses its K/V state; everything
             // waiting (or not yet arrived but routed here) never ran.
-            lost_active.extend(active.iter().map(|a| reqs[a.idx].id));
-            lost_waiting.extend(queue.iter().map(|&i| reqs[i].id));
-            lost_waiting.extend(reqs[next..].iter().map(|r| r.id));
+            lost_active.extend(active.iter().map(|a| a.idx));
+            lost_waiting.extend(queue.iter().copied());
+            lost_waiting.extend(next..reqs.len());
         }
 
         let makespan = clock;
@@ -847,24 +616,29 @@ impl ServeSim {
             tpot: LatencyStats::of(&mut tpot),
             e2e: LatencyStats::of(&mut e2e),
         };
-        FaultedOutcome {
+        ReplayOutcome {
             report,
             samples: RunSamples { ttft, tpot, e2e, completions, attributions },
+            retired,
             lost_active,
             lost_waiting,
         }
     }
 }
 
-/// What a fault-aware replica run produced: the survivor's report and
-/// samples, plus the trace request ids displaced by a fail-stop (empty
-/// when the replica outlived its sub-trace).
+/// What one engine run produced: the report and samples over the
+/// requests the replica served, plus the requests a fail-stop displaced
+/// (none when the replica outlived its trace). Requests are named by
+/// their position in the replayed trace.
 #[derive(Debug, Clone)]
-pub(crate) struct FaultedOutcome {
+pub(crate) struct ReplayOutcome {
     /// The replica's report over the requests it actually served.
     pub report: ServeReport,
     /// Raw samples behind the report (completed requests only).
     pub samples: RunSamples,
+    /// Trace position of each completion, parallel to
+    /// [`RunSamples::completions`].
+    pub retired: Vec<usize>,
     /// Requests resident (K/V lost) at the fail-stop instant.
     pub lost_active: Vec<usize>,
     /// Requests waiting or not yet arrived at the fail-stop instant.
@@ -1217,22 +991,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_shims_match_the_builder() {
-        let trace = small_trace(300.0, 30);
-        let kind = ConfigKind::FuseMaxBinding;
-        let shimmed = ServeSim::new(
-            kind,
-            kind.default_arch(),
-            TransformerConfig::bert(),
-            ModelParams::default(),
-        )
-        .with_policy(SchedulerPolicy::chunked(256));
-        let built = bert_builder(kind).policy(SchedulerPolicy::chunked(256)).build();
-        assert_eq!(shimmed.run(&trace), built.run(&trace));
-    }
-
-    #[test]
     fn sampled_runs_return_the_quantile_sample_multisets() {
         let trace = small_trace(300.0, 40);
         let sim = bert_sim(ConfigKind::FuseMaxBinding);
@@ -1284,36 +1042,28 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_faulted_run_matches_the_legacy_engine() {
-        let trace = small_trace(300.0, 50);
-        let sim = bert_sim(ConfigKind::FuseMaxBinding);
-        let costs = sim.service_times(&trace);
-        let (report, samples) = sim.run_sampled_with(&costs, &trace);
-        let outcome = sim.run_sampled_faulted(&costs, &trace, &ReplicaFaults::none());
-        assert_eq!(outcome.report, report, "×1.0 multipliers must be bit-exact");
-        assert_eq!(outcome.samples, samples);
-        assert!(outcome.lost_active.is_empty() && outcome.lost_waiting.is_empty());
-    }
-
-    #[test]
     fn a_fail_stop_loses_residents_and_waiters_exactly_once() {
         let trace = small_trace(300.0, 50);
         let sim = bert_sim(ConfigKind::FuseMaxBinding);
         let costs = sim.service_times(&trace);
-        let healthy = sim.run_sampled_faulted(&costs, &trace, &ReplicaFaults::none());
+        let healthy = sim.replay(&costs, &trace, &ReplicaFaults::none());
         let mid = healthy.report.makespan_s / 2.0;
         let faults = ReplicaFaults { horizon_s: mid, slowdowns: vec![(0.0, 1.0, 1.0)] };
-        let outcome = sim.run_sampled_faulted(&costs, &trace, &faults);
+        let outcome = sim.replay(&costs, &trace, &faults);
         assert!(outcome.report.completed < 50, "a mid-trace death must lose requests");
         assert!(outcome.report.makespan_s <= mid, "no work commits past the fail-stop");
-        // Conservation: completed + lost covers the trace exactly once.
-        let mut ids: Vec<usize> = outcome.samples.completions.iter().map(|&(id, _)| id).collect();
-        ids.extend(&outcome.lost_active);
-        ids.extend(&outcome.lost_waiting);
-        ids.sort_unstable();
-        assert_eq!(ids, (0..50).collect::<Vec<_>>());
+        // Conservation: completed + lost covers the trace exactly once,
+        // and each retired position names its completion's request.
+        for (&j, &(id, _)) in outcome.retired.iter().zip(&outcome.samples.completions) {
+            assert_eq!(trace.requests[j].id, id);
+        }
+        let mut positions = outcome.retired.clone();
+        positions.extend(&outcome.lost_active);
+        positions.extend(&outcome.lost_waiting);
+        positions.sort_unstable();
+        assert_eq!(positions, (0..50).collect::<Vec<_>>());
         // Replay is bit-identical.
-        let again = sim.run_sampled_faulted(&costs, &trace, &faults);
+        let again = sim.replay(&costs, &trace, &faults);
         assert_eq!(again.report, outcome.report);
         assert_eq!(again.lost_active, outcome.lost_active);
         assert_eq!(again.lost_waiting, outcome.lost_waiting);
@@ -1324,15 +1074,15 @@ mod tests {
         let trace = small_trace(300.0, 40);
         let sim = bert_sim(ConfigKind::FuseMaxBinding);
         let costs = sim.service_times(&trace);
-        let healthy = sim.run_sampled_faulted(&costs, &trace, &ReplicaFaults::none());
+        let healthy = sim.replay(&costs, &trace, &ReplicaFaults::none());
         let throttled =
             ReplicaFaults { horizon_s: f64::INFINITY, slowdowns: vec![(0.0, 2.0, 1.0)] };
-        let slow = sim.run_sampled_faulted(&costs, &trace, &throttled);
+        let slow = sim.replay(&costs, &trace, &throttled);
         assert_eq!(slow.report.completed, 40, "degraded chips still finish");
         assert!(slow.report.makespan_s > healthy.report.makespan_s);
         assert!(slow.report.busy_s > healthy.report.busy_s);
         let browned = ReplicaFaults { horizon_s: f64::INFINITY, slowdowns: vec![(0.0, 1.0, 4.0)] };
-        let brown = sim.run_sampled_faulted(&costs, &trace, &browned);
+        let brown = sim.replay(&costs, &trace, &browned);
         assert!(
             brown.report.busy_s > healthy.report.busy_s,
             "brownouts slow bandwidth-bound decode"
@@ -1351,7 +1101,7 @@ mod tests {
         let sim = bert_builder(ConfigKind::FuseMaxBinding).recorder(recorder).build();
         let costs = sim.service_times(&trace);
         let faults = ReplicaFaults { horizon_s: 0.05, slowdowns: vec![(0.0, 1.0, 1.0)] };
-        let outcome = sim.run_sampled_faulted(&costs, &trace, &faults);
+        let outcome = sim.replay(&costs, &trace, &faults);
         let starts = sink
             .events()
             .iter()
