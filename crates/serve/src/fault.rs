@@ -464,31 +464,17 @@ impl ReplicaFaults {
         ReplicaFaults { horizon_s: f64::INFINITY, slowdowns: vec![(0.0, 1.0, 1.0)] }
     }
 
-    /// A walk along the step function for a clock that never runs
-    /// backwards: the engine's one lookup per iteration.
-    pub fn walk(&self) -> StepWalk<'_> {
-        StepWalk { steps: self.slowdowns.iter().peekable(), current: (1.0, 1.0) }
-    }
-}
-
-/// A forward-only cursor over a [`ReplicaFaults`] step function.
-pub(crate) struct StepWalk<'a> {
-    steps: std::iter::Peekable<std::slice::Iter<'a, (f64, f64, f64)>>,
-    current: (f64, f64),
-}
-
-impl StepWalk<'_> {
-    /// `(compute_mult, dram_mult)` in force at time `t`, which must not
-    /// precede any earlier query.
-    pub fn at(&mut self, t: f64) -> (f64, f64) {
-        while let Some(&&(from, compute, dram)) = self.steps.peek() {
-            if from > t {
+    /// `(compute_mult, dram_mult)` in force at time `t`.
+    pub fn multipliers_at(&self, t: f64) -> (f64, f64) {
+        let mut current = (1.0, 1.0);
+        for &(from, cm, dm) in &self.slowdowns {
+            if from <= t {
+                current = (cm, dm);
+            } else {
                 break;
             }
-            self.current = (compute, dram);
-            self.steps.next();
         }
-        self.current
+        current
     }
 }
 
@@ -758,12 +744,9 @@ mod tests {
             horizon_s: 10.0,
             slowdowns: vec![(0.0, 1.0, 1.0), (2.0, 2.0, 1.0), (4.0, 2.0, 3.0)],
         };
-        let mut walk = rf.walk();
-        assert_eq!(walk.at(0.0), (1.0, 1.0));
-        assert_eq!(walk.at(1.0), (1.0, 1.0));
-        assert_eq!(walk.at(2.0), (2.0, 1.0));
-        assert_eq!(walk.at(9.0), (2.0, 3.0));
-        assert_eq!(walk.at(9.0), (2.0, 3.0), "repeated queries hold the step");
-        assert_eq!(ReplicaFaults::none().walk().at(1e9), (1.0, 1.0));
+        assert_eq!(rf.multipliers_at(0.0), (1.0, 1.0));
+        assert_eq!(rf.multipliers_at(2.0), (2.0, 1.0));
+        assert_eq!(rf.multipliers_at(9.0), (2.0, 3.0));
+        assert_eq!(ReplicaFaults::none().multipliers_at(1e9), (1.0, 1.0));
     }
 }

@@ -315,9 +315,9 @@ impl ServeSim {
     /// * Degradation multipliers are looked up once per iteration at its
     ///   start time. `×1.0` is exact in IEEE 754, so a healthy replica
     ///   reports exactly what an unscaled replay would.
-    /// * Prefill telemetry for an iteration is buffered and published
-    ///   only when the iteration commits, so the event stream never
-    ///   narrates work the dead chip didn't do. Arrival and admission
+    /// * Prefill telemetry for an iteration is emitted only once the
+    ///   iteration commits, so the event stream never narrates work the
+    ///   dead chip didn't do. Arrival and admission
     ///   events stay inline — they are real history even when the chip
     ///   later dies.
     pub(crate) fn replay(
@@ -354,7 +354,7 @@ impl ServeSim {
 
         let unbounded = self.policy.is_unbounded();
         let ratio = self.policy.waiting_served_ratio;
-        let mut multipliers = faults.walk();
+        // Per-iteration scratch, reused so iterations do not allocate.
         let mut granted: Vec<Option<usize>> = Vec::new();
         let mut charged: Vec<f64> = Vec::new();
 
@@ -451,7 +451,7 @@ impl ServeSim {
             // progress this iteration (`None` = starved by the chunk
             // budget); `charged` the prefill seconds charged to each
             // (attribution only).
-            let (compute_mult, dram_mult) = multipliers.at(clock);
+            let (compute_mult, dram_mult) = faults.multipliers_at(clock);
             let mut step = 0.0f64;
             let mut chunk_budget = self.policy.chunk_tokens.unwrap_or(0);
             granted.clear();
