@@ -21,10 +21,15 @@ pub trait RngCore {
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
     }
 }
+
+// The sampling paths are `#[inline]`, as upstream's are: the guided
+// search strategies draw millions of values per run, and whether those
+// calls inline must not hinge on how the calling crate is partitioned.
 
 /// User-facing sampling methods, blanket-implemented for every [`RngCore`].
 pub trait Rng: RngCore {
@@ -33,6 +38,7 @@ pub trait Rng: RngCore {
     /// # Panics
     ///
     /// Panics if the range is empty.
+    #[inline]
     fn gen_range<T, R>(&mut self, range: R) -> T
     where
         T: SampleUniform,
@@ -43,6 +49,7 @@ pub trait Rng: RngCore {
 
     /// Samples a value of a [`StandardDistributed`] type (`f64` in
     /// `[0, 1)`, integers over their full range).
+    #[inline]
     fn gen<T: StandardDistributed>(&mut self) -> T {
         T::sample_standard(self)
     }
@@ -53,6 +60,7 @@ pub trait Rng: RngCore {
     /// # Panics
     ///
     /// Panics unless `0.0 <= p <= 1.0`.
+    #[inline]
     fn gen_bool(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability {p} out of [0, 1]");
         unit_f64(self) < p
@@ -80,6 +88,7 @@ pub trait SampleRange<T: SampleUniform> {
 }
 
 impl<T: SampleUniform> SampleRange<T> for Range<T> {
+    #[inline]
     fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> T {
         assert!(self.start < self.end, "cannot sample empty range");
         T::sample_uniform(self.start, self.end, rng)
@@ -87,6 +96,7 @@ impl<T: SampleUniform> SampleRange<T> for Range<T> {
 }
 
 /// A `u64` in `[0, 2^53)` mapped to `[0, 1)` with full double precision.
+#[inline]
 fn unit_f64<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
     (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
@@ -269,6 +279,7 @@ pub mod rngs {
     }
 
     impl RngCore for StdRng {
+        #[inline]
         fn next_u64(&mut self) -> u64 {
             self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.state;

@@ -443,16 +443,10 @@ impl<'a> Session<'a> {
             let key = PointKey::of(&evaluation.point);
             if fresh {
                 self.stats.evaluated += 1;
-                if self.tracing {
-                    let shard = self.sweeper.cache().shard_of(&key);
-                    self.trace(SearchEvent::CacheMiss { shard });
-                }
+                self.trace(SearchEvent::CacheMiss);
             } else {
                 self.stats.cache_hits += 1;
-                if self.tracing {
-                    let shard = self.sweeper.cache().shard_of(&key);
-                    self.trace(SearchEvent::CacheHit { shard });
-                }
+                self.trace(SearchEvent::CacheHit);
             }
             self.seen.insert(key, Arc::clone(&evaluation));
             let group = group_index(&mut self.frontiers, &evaluation.point);

@@ -271,28 +271,6 @@ impl Sweeper {
         &self.cache
     }
 
-    /// Persists the evaluation cache to `path` (see [`crate::cache_json`]
-    /// — sorted, bit-exact JSON), making figure regeneration free across
-    /// *processes*, not just within one.
-    pub fn save_cache(&self, path: impl AsRef<std::path::Path>) -> Result<(), crate::PersistError> {
-        crate::json::save_cache_file(&self.cache, path.as_ref())
-    }
-
-    /// Loads a cache file previously written by [`Sweeper::save_cache`]
-    /// into this sweeper's cache, returning how many entries were
-    /// absorbed.
-    ///
-    /// The caller is responsible for pairing a cache file with the
-    /// [`ModelParams`] that produced it — the file stores design-point
-    /// keys, and a sweeper trusts its cache blindly (exactly as it trusts
-    /// its in-memory entries).
-    pub fn load_cache(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<usize, crate::PersistError> {
-        crate::json::load_cache_file(&self.cache, path.as_ref())
-    }
-
     /// Evaluates one point through the analytical model, bypassing the
     /// cache. Pure: identical inputs give identical outputs.
     fn compute(&self, point: &DesignPoint) -> Evaluation {
@@ -456,21 +434,11 @@ impl Sweeper {
             let tick = i as u64 + 1;
             match self.cache.get(&key) {
                 Some(hit) => {
-                    self.recorder.emit(|| {
-                        Event::search(
-                            tick,
-                            SearchEvent::CacheHit { shard: self.cache.shard_of(&key) },
-                        )
-                    });
+                    self.recorder.emit(|| Event::search(tick, SearchEvent::CacheHit));
                     slots.push(Some(hit));
                 }
                 None => {
-                    self.recorder.emit(|| {
-                        Event::search(
-                            tick,
-                            SearchEvent::CacheMiss { shard: self.cache.shard_of(&key) },
-                        )
-                    });
+                    self.recorder.emit(|| Event::search(tick, SearchEvent::CacheMiss));
                     slots.push(None);
                     missing.push((i, point));
                 }
@@ -540,9 +508,7 @@ impl Sweeper {
             self.recorder.emit(|| Event::search(tick, SearchEvent::Staged));
             let evaluation = if let Some(hit) = self.cache.get(&key) {
                 cache_hits += 1;
-                self.recorder.emit(|| {
-                    Event::search(tick, SearchEvent::CacheHit { shard: self.cache.shard_of(&key) })
-                });
+                self.recorder.emit(|| Event::search(tick, SearchEvent::CacheHit));
                 hit
             } else {
                 if !frontiers[group].frontier.admits(&self.lower_bound(&point)) {
@@ -551,9 +517,7 @@ impl Sweeper {
                     continue;
                 }
                 evaluated += 1;
-                self.recorder.emit(|| {
-                    Event::search(tick, SearchEvent::CacheMiss { shard: self.cache.shard_of(&key) })
-                });
+                self.recorder.emit(|| Event::search(tick, SearchEvent::CacheMiss));
                 self.cache.insert(key, Arc::new(self.compute(&point)))
             };
             let admitted = frontiers[group].frontier.insert(Arc::clone(&evaluation));

@@ -15,7 +15,7 @@
 //!   The default recorder is disabled: `emit` is a single branch and the
 //!   event closure never runs.
 //! - [`Metrics`] — monotonic counters, gauges, and fixed-bucket
-//!   [`Histogram`]s (per-shard cache traffic, screen-reject rate, batch
+//!   [`Histogram`]s (cache hits and misses, screen-reject rate, batch
 //!   and queue-depth distributions), built from a stream with
 //!   [`Metrics::from_events`] or accumulated live via [`MetricsSink`],
 //!   and snapshotted as deterministic JSON with

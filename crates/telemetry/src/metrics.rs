@@ -147,14 +147,8 @@ impl Metrics {
             Event::Search { kind, .. } => match kind {
                 SearchEvent::Staged => self.inc("search.staged", 1),
                 SearchEvent::ScreenedOut => self.inc("search.screened_out", 1),
-                SearchEvent::CacheHit { shard } => {
-                    self.inc("search.cache.hit", 1);
-                    self.inc(&format!("search.cache.shard.{shard:03}.hit"), 1);
-                }
-                SearchEvent::CacheMiss { shard } => {
-                    self.inc("search.cache.miss", 1);
-                    self.inc(&format!("search.cache.shard.{shard:03}.miss"), 1);
-                }
+                SearchEvent::CacheHit => self.inc("search.cache.hit", 1),
+                SearchEvent::CacheMiss => self.inc("search.cache.miss", 1),
                 SearchEvent::FlushBatch { size } => {
                     self.inc("search.flushes", 1);
                     self.observe_with("search.flush_batch", *size as f64, || Histogram::pow2(4096));
@@ -346,15 +340,15 @@ mod tests {
     fn from_events_derives_headline_gauges() {
         let events = vec![
             Event::search(1, SearchEvent::Staged),
-            Event::search(1, SearchEvent::CacheMiss { shard: 0 }),
+            Event::search(1, SearchEvent::CacheMiss),
             Event::search(2, SearchEvent::Staged),
-            Event::search(2, SearchEvent::CacheHit { shard: 3 }),
+            Event::search(2, SearchEvent::CacheHit),
             Event::search(2, SearchEvent::ScreenedOut),
             Event::serve(0.1, ServeEvent::DecodeIter { batch: 4, resident_kv: 64 }),
             Event::serve(0.2, ServeEvent::DecodeIter { batch: 2, resident_kv: 32 }),
         ];
         let m = Metrics::from_events(&events);
-        assert_eq!(m.counter("search.cache.shard.003.hit"), 1);
+        assert_eq!(m.counter("search.cache.hit"), 1);
         assert_eq!(m.gauge("search.cache.hit_ratio"), Some(0.5));
         assert_eq!(m.gauge("search.screen_reject_rate"), Some(1.0 / 3.0));
         assert_eq!(m.gauge("serve.batch_mean"), Some(3.0));

@@ -28,7 +28,7 @@ pub fn seq_label(l: usize) -> String {
 /// FLAT's workload set; see DESIGN.md §1.9 note 5): `d_model = heads ×
 /// head_dim`, and `head_dim` is the paper's `E = F` embedding per head
 /// ("for the networks we evaluate, E = 64 or 128", §V).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TransformerConfig {
     /// Model name as used in the figures.
     pub name: &'static str,

@@ -1,18 +1,14 @@
 //! Acceptance suite for the guided design-space search subsystem: every
 //! strategy is deterministic given a seed, shares the exhaustive sweep's
-//! [`EvalCache`] (a guided run after a full sweep performs **zero** new
+//! `EvalCache` (a guided run after a full sweep performs **zero** new
 //! model evaluations), and recovers ≥90% of the exhaustive Pareto
 //! hypervolume on the Fig 12 space within a 25% evaluation budget.
-//!
-//! Set `FUSEMAX_DSE_CACHE=<path>` to persist the suite's evaluations
-//! across test processes (the cache-on-disk ROADMAP item): the first run
-//! writes the file, later runs start warm.
 
 use fusemax::dse::search::{
     convergence, hypervolume_fraction, GeneticSearch, RandomSearch, SearchBudget, SearchStrategy,
     SimulatedAnnealing, SnapPolicy,
 };
-use fusemax::dse::{dominates, DesignSpace, EvalCache, Objectives, Sweeper};
+use fusemax::dse::{dominates, DesignSpace, Objectives, Sweeper};
 use fusemax::model::{ConfigKind, ModelParams};
 use fusemax::workloads::TransformerConfig;
 
@@ -43,16 +39,6 @@ fn multi_group_space() -> DesignSpace {
         .with_seq_lens([1 << 14, 1 << 18])
 }
 
-/// A sweeper warmed from `FUSEMAX_DSE_CACHE` when the env var names a
-/// cache file (see the module docs).
-fn sweeper() -> Sweeper {
-    let sweeper = Sweeper::new(ModelParams::default());
-    if let Some(path) = std::env::var_os("FUSEMAX_DSE_CACHE") {
-        let _ = sweeper.load_cache(std::path::Path::new(&path));
-    }
-    sweeper
-}
-
 /// The three strategies under test, seeded identically.
 fn strategies(seed: u64) -> Vec<Box<dyn SearchStrategy>> {
     vec![
@@ -65,7 +51,7 @@ fn strategies(seed: u64) -> Vec<Box<dyn SearchStrategy>> {
 #[test]
 fn every_strategy_recovers_90pct_hypervolume_at_quarter_budget() {
     let space = fig12_space();
-    let sweeper = sweeper();
+    let sweeper = Sweeper::new(ModelParams::default());
     let exhaustive = sweeper.sweep(&space);
     let budget = SearchBudget::fraction(&space, 0.25);
     assert_eq!(budget.evaluations, 45);
@@ -91,16 +77,12 @@ fn every_strategy_recovers_90pct_hypervolume_at_quarter_budget() {
             outcome.stats.requested
         );
     }
-
-    if let Some(path) = std::env::var_os("FUSEMAX_DSE_CACHE") {
-        let _ = sweeper.save_cache(std::path::Path::new(&path));
-    }
 }
 
 #[test]
 fn guided_run_after_a_full_sweep_performs_zero_new_evaluations() {
     let space = fig12_space();
-    let sweeper = sweeper();
+    let sweeper = Sweeper::new(ModelParams::default());
     sweeper.sweep(&space);
     let cached = sweeper.cache().len();
 
@@ -212,44 +194,13 @@ fn convergence_harness_tracks_hypervolume_vs_evaluations() {
 }
 
 #[test]
-fn cache_file_round_trip_feeds_guided_search() {
-    // The persistence path end to end: exhaust a space, save the cache,
-    // load it into a brand-new process-like sweeper, and run a guided
-    // search that should evaluate nothing.
-    let space = fig12_space();
-    let warm = Sweeper::new(ModelParams::default());
-    warm.sweep(&space);
-
-    let dir = std::env::temp_dir().join(format!("fusemax-dse-search-{}", std::process::id()));
-    let path = dir.join("fig12_cache.json");
-    warm.save_cache(&path).expect("save cache");
-
-    let fresh = Sweeper::new(ModelParams::default());
-    assert_eq!(fresh.load_cache(&path).expect("load cache"), space.len());
-    let outcome =
-        SimulatedAnnealing::new(9).search(&fresh, &space, SearchBudget::fraction(&space, 0.25));
-    assert_eq!(outcome.stats.evaluated, 0, "disk cache must make the guided run free");
-    assert_eq!(outcome.stats.cache_hits, outcome.stats.requested);
-
-    // Loaded evaluations are bit-identical to freshly computed ones.
-    let reference = Sweeper::new(ModelParams::default());
-    for evaluation in &outcome.evaluations {
-        let recomputed = reference.evaluate(&evaluation.point);
-        assert_eq!(evaluation.latency_s.to_bits(), recomputed.latency_s.to_bits());
-        assert_eq!(evaluation.energy_j.to_bits(), recomputed.energy_j.to_bits());
-        assert_eq!(evaluation.area_cm2.to_bits(), recomputed.area_cm2.to_bits());
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn continuous_annealing_dominates_the_grid_frontier_off_grid() {
     // The tentpole acceptance: a SnapPolicy::Continuous annealing run on
     // the Fig 12 space must find at least one genuinely off-grid design
     // that Pareto-dominates a point on the exhaustive *grid* frontier —
     // proof that the grid cannot express the true frontier.
     let space = fig12_space();
-    let sweeper = sweeper();
+    let sweeper = Sweeper::new(ModelParams::default());
     let exhaustive = sweeper.sweep(&space);
     let grid_frontier = exhaustive.frontier_points();
 
@@ -331,7 +282,7 @@ fn screening_cuts_full_evaluations_at_equal_hypervolume() {
     // screen spends cheap bound checks instead of model evaluations on
     // provably-dominated candidates.
     let space = fig12_space();
-    let sweeper = sweeper();
+    let sweeper = Sweeper::new(ModelParams::default());
     let exhaustive = sweeper.sweep(&space);
     let baseline = SearchBudget::fraction(&space, 0.25);
     assert_eq!(baseline.evaluations, 45);
@@ -413,10 +364,10 @@ fn screened_rejections_never_evict_real_frontier_points() {
 }
 
 #[test]
-fn off_grid_evaluations_round_trip_through_the_cache_file() {
-    // Off-grid entries must persist exactly like grid entries: same
-    // canonical keys, same bit-exact JSON, and a reloaded cache makes a
-    // continuous replay free.
+fn off_grid_evaluations_replay_from_the_warm_cache() {
+    // Off-grid entries key canonically: a same-seed continuous replay on
+    // the warm sweeper lands on every entry the first run cached, so it
+    // evaluates nothing and returns the same points and latencies.
     let space = fig12_space();
     let warm = Sweeper::new(ModelParams::default());
     let run = || {
@@ -428,24 +379,17 @@ fn off_grid_evaluations_round_trip_through_the_cache_file() {
     };
     let first = run();
     assert!(first.evaluations.iter().any(|e| !space.is_on_grid(&e.point)));
+    let cached = warm.cache().len();
 
-    let dir = std::env::temp_dir().join(format!("fusemax-dse-offgrid-{}", std::process::id()));
-    let path = dir.join("offgrid_cache.json");
-    warm.save_cache(&path).expect("save cache with off-grid entries");
-
-    let fresh = Sweeper::new(ModelParams::default());
-    assert_eq!(fresh.load_cache(&path).expect("load"), warm.cache().len());
-    let replay = SimulatedAnnealing::new(1).with_snap_policy(SnapPolicy::Continuous).search(
-        &fresh,
-        &space,
-        SearchBudget::evaluations(25),
-    );
-    assert_eq!(replay.stats.evaluated, 0, "off-grid replay must be free from the disk cache");
+    let replay = run();
+    assert_eq!(replay.stats.evaluated, 0, "off-grid replay must be free from the warm cache");
+    assert_eq!(replay.stats.cache_hits, replay.stats.requested);
+    assert_eq!(warm.cache().len(), cached, "a replay must not grow the cache");
+    assert_eq!(first.evaluations.len(), replay.evaluations.len());
     for (a, b) in first.evaluations.iter().zip(&replay.evaluations) {
         assert_eq!(a.point, b.point);
         assert_eq!(a.latency_s.to_bits(), b.latency_s.to_bits());
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The ISSUE-5 determinism contract: the batched/parallel evaluation path
@@ -551,13 +495,4 @@ fn genetic_search_issues_multi_point_batches_every_generation() {
         outcome.stats.multi_point_batches
     );
     assert!(outcome.stats.batches >= outcome.stats.multi_point_batches);
-}
-
-#[test]
-fn eval_cache_type_is_exported_for_external_tools() {
-    // The cache is part of the public API surface (external plotting
-    // tools absorb saved caches directly).
-    let cache = EvalCache::new();
-    assert!(cache.is_empty());
-    assert_eq!(cache.absorb(Vec::new()), 0);
 }
