@@ -229,6 +229,16 @@ fn telemetry_json() -> String {
     GeneticSearch::new(7).search(&sweeper, &space, budget);
     // A second seed over the warm cache, so the hit ratio measures reuse.
     GeneticSearch::new(9).search(&sweeper, &space, budget);
+    // A budget that covers the whole space: once breeding only finds
+    // known points, each stalled generation must inject an unseen
+    // immigrant, so the revisit count stays a small multiple of the space
+    // size instead of spinning until chance finds the last points. Its own
+    // sweeper and no recorder, so the event-derived keys above stay put.
+    let saturated = GeneticSearch::new(7).search(
+        &Sweeper::new(ModelParams::default()),
+        &space,
+        SearchBudget::evaluations(space.len()),
+    );
 
     let trace = serve_trace(120);
     let point = DesignSpace::new().with_workloads([TransformerConfig::bert()]).points().remove(4);
@@ -274,13 +284,14 @@ fn telemetry_json() -> String {
         concat!(
             "{{\"search_cache_hit_ratio\":{:.4},\"search_flush_batch_mean\":{:.3},",
             "\"serve_batch_mean\":{:.3},\"serve_retries\":{},\"serve_sheds\":{},",
-            "\"events\":{},\"attribution\":{}}}"
+            "\"search_saturated_revisits\":{},\"events\":{},\"attribution\":{}}}"
         ),
         metrics.gauge("search.cache.hit_ratio").unwrap_or(0.0),
         metrics.histogram("search.flush_batch").map_or(0.0, |h| h.mean()),
         metrics.gauge("serve.batch_mean").unwrap_or(0.0),
         metrics.counter("serve.retries"),
         metrics.counter("serve.sheds"),
+        saturated.stats.revisits,
         events.len(),
         attribution.json(),
     )

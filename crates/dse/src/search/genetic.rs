@@ -28,12 +28,23 @@ const OFFGRID_RATE: f64 = 0.35;
 
 /// Multi-objective genetic search with Pareto-rank fitness.
 ///
-/// Each genome is an [`AxisIndex`] into the space's six axes. Fitness is
+/// Each genome is an [`AxisIndex`] into the space's eight axes. Fitness is
 /// the genome's non-domination front *within its `(workload, seq_len)`
 /// group* (dominance across groups is meaningless), with a balanced
 /// log-scalarization as the tie-break. Selection is `tournament`-way,
 /// crossover is uniform per axis, and mutation nudges ordered axes by ±1
 /// while resampling categorical ones.
+///
+/// A generation is **stalled** when none of its children is fresh: each
+/// was a revisit or screened out, or breeding produced none. A stalled
+/// generation drops its revisit children and instead injects one
+/// immigrant this run has not seen — the first unseen genome among 64
+/// random grid draws, else the first unseen point in
+/// [`DesignSpace::points`] order. The search ends when the budget is
+/// spent or no unseen grid point remains, so a budget of at least the
+/// space size covers the space in O(|space|) generations. Trajectories
+/// are identical up to the first stalled generation; a run that never
+/// stalls does not depend on this rule.
 ///
 /// Deterministic per seed; all evaluations flow through the shared
 /// [`crate::EvalCache`].
@@ -118,12 +129,21 @@ impl GeneticSearch {
 
 /// One population member: the grid genome it breeds through, the
 /// candidate actually evaluated (equal to `Grid(genome)` unless the child
-/// was jittered off-grid), and its evaluation.
+/// was jittered off-grid), its evaluation, and the evaluation's
+/// [`scalar`] cost, computed once for every selection that compares it.
 #[derive(Clone)]
 struct Member {
     genome: AxisIndex,
     candidate: Candidate,
     evaluation: Arc<Evaluation>,
+    cost: f64,
+}
+
+impl Member {
+    fn new(genome: AxisIndex, candidate: Candidate, evaluation: Arc<Evaluation>) -> Self {
+        let cost = scalar(&evaluation);
+        Member { genome, candidate, evaluation, cost }
+    }
 }
 
 /// A staged member-to-be: revisits resolve immediately, fresh points wait
@@ -145,15 +165,64 @@ struct ChildSlot {
 fn resolve(slots: Vec<ChildSlot>, batch: Vec<Arc<Evaluation>>) -> Vec<Member> {
     slots
         .into_iter()
-        .map(|c| Member {
-            genome: c.genome,
-            candidate: c.candidate,
-            evaluation: match c.slot {
+        .map(|c| {
+            let evaluation = match c.slot {
                 Slot::Ready(e) => e,
                 Slot::Pending(i) => Arc::clone(&batch[i]),
-            },
+            };
+            Member::new(c.genome, c.candidate, evaluation)
         })
         .collect()
+}
+
+/// The `index`-th genome in [`DesignSpace::points`] order (the last axis
+/// varies fastest).
+fn genome_at(mut index: usize, lens: &AxisIndex) -> AxisIndex {
+    let mut genome = [0usize; 8];
+    for (slot, &n) in genome.iter_mut().zip(lens).rev() {
+        *slot = index % n;
+        index /= n;
+    }
+    genome
+}
+
+/// Evaluates one grid genome this run has not seen, for a stalled
+/// generation: the first unseen of up to 64 random draws, else the first
+/// unseen point in [`DesignSpace::points`] order at or after `*scan`.
+/// Points before the cursor are known and stay known, so the scan costs
+/// O(|space|) over the whole run. A screened-out immigrant is now known
+/// too, so the hunt moves on to the next. `None` when the budget is spent
+/// or every grid point is known.
+fn immigrant(
+    rng: &mut StdRng,
+    session: &mut Session,
+    lens: &AxisIndex,
+    scan: &mut usize,
+) -> Option<Member> {
+    let total: usize = lens.iter().product();
+    loop {
+        let is_new = |genome: &AxisIndex| session.is_new(&Candidate::Grid(*genome));
+        let genome = match (0..64).map(|_| random_genome(rng, lens)).find(is_new) {
+            Some(genome) => genome,
+            None => {
+                while *scan < total && !is_new(&genome_at(*scan, lens)) {
+                    *scan += 1;
+                }
+                if *scan == total {
+                    return None;
+                }
+                genome_at(*scan, lens)
+            }
+        };
+        let candidate = Candidate::Grid(genome);
+        match session.evaluate_candidate(&candidate) {
+            SessionEval::Evaluated(evaluation) => {
+                return Some(Member::new(genome, candidate, evaluation))
+            }
+            SessionEval::Screened => {}
+            SessionEval::Exhausted => return None,
+        }
+    }
 }
 
 /// Jitters a grid genome's hardware knobs off-grid: the array dimension
@@ -238,8 +307,7 @@ fn tournament_pick(rng: &mut StdRng, members: &[Member], ranks: &[usize], k: usi
     for _ in 1..k {
         let challenger = rng.gen_range(0..members.len());
         let better = ranks[challenger] < ranks[best]
-            || (ranks[challenger] == ranks[best]
-                && scalar(&members[challenger].evaluation) < scalar(&members[best].evaluation));
+            || (ranks[challenger] == ranks[best] && members[challenger].cost < members[best].cost);
         if better {
             best = challenger;
         }
@@ -335,6 +403,8 @@ impl SearchStrategy for GeneticSearch {
             }
         }
         let mut population: Vec<Member> = resolve(seeds, session.flush());
+        // Immigrant scan cursor into `DesignSpace::points` order.
+        let mut scan = 0usize;
 
         // With an in-loop objective attached, selection pressure follows
         // the scalar merit instead of the Pareto fronts — the strategy
@@ -391,44 +461,25 @@ impl SearchStrategy for GeneticSearch {
                     StagedEval::Exhausted => break,
                 }
             }
-            // The generation's offspring evaluate as one parallel batch.
-            let children = resolve(children, session.flush());
-            if children.is_empty() {
-                // Breeding stalled (everything nearby already explored):
-                // inject a random immigrant to reopen the search, or stop
-                // if even that fails.
-                let mut injected = false;
-                for _ in 0..64 {
-                    if session.exhausted() {
-                        break;
-                    }
-                    let genome = random_genome(&mut rng, &lens);
-                    if population.iter().any(|m| m.genome == genome) {
-                        continue;
-                    }
-                    let candidate = Candidate::Grid(genome);
-                    if let SessionEval::Evaluated(evaluation) =
-                        session.evaluate_candidate(&candidate)
-                    {
-                        population.push(Member { genome, candidate, evaluation });
-                        injected = true;
-                        break;
-                    }
-                }
-                if !injected {
-                    break;
+            // Stalled (no fresh child): drop the revisits and reopen the
+            // search with an unseen immigrant, or stop if none is left.
+            if !children.iter().any(|c| matches!(c.slot, Slot::Pending(_))) {
+                match immigrant(&mut rng, &mut session, &lens, &mut scan) {
+                    Some(member) => population.push(member),
+                    None => break,
                 }
                 continue;
             }
-            population.extend(children);
+            // The generation's offspring evaluate as one parallel batch.
+            population.extend(resolve(children, session.flush()));
 
             // Environmental selection: survivors by (front, scalar cost).
             let ranks = rank_members(&population);
             let mut order: Vec<usize> = (0..population.len()).collect();
             order.sort_by(|&a, &b| {
-                ranks[a].cmp(&ranks[b]).then(
-                    scalar(&population[a].evaluation).total_cmp(&scalar(&population[b].evaluation)),
-                )
+                ranks[a]
+                    .cmp(&ranks[b])
+                    .then_with(|| population[a].cost.total_cmp(&population[b].cost))
             });
             order.truncate(pop_target);
             population = order.into_iter().map(|i| population[i].clone()).collect();
@@ -440,8 +491,11 @@ impl SearchStrategy for GeneticSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::PointKey;
+    use crate::space::{QueueOrder, SchedulerPolicy};
     use fusemax_model::{ConfigKind, ModelParams};
     use fusemax_workloads::TransformerConfig;
+    use std::collections::HashSet;
 
     fn space() -> DesignSpace {
         DesignSpace::new()
@@ -499,5 +553,44 @@ mod tests {
             "only {fusemax}/{} late evaluations explored FuseMax kinds",
             late.len()
         );
+    }
+
+    #[test]
+    fn a_budget_beyond_the_space_covers_it_without_spinning() {
+        // The serving co-design's policy space: 6 array dims × 6 policies.
+        // Without an objective the policy axis leaves the three model
+        // objectives tied, so breeding soon proposes only known points and
+        // every new point must come from a stalled generation's immigrant.
+        let policy_space = DesignSpace::new()
+            .with_workloads([TransformerConfig::bert()])
+            .with_seq_lens([1 << 18])
+            .with_policies([
+                SchedulerPolicy::unbounded(),
+                SchedulerPolicy::chunked(256),
+                SchedulerPolicy::chunked(512),
+                SchedulerPolicy::chunked(512).with_queue_order(QueueOrder::ShortestPromptFirst),
+                SchedulerPolicy::unbounded().with_queue_order(QueueOrder::ShortestPromptFirst),
+                SchedulerPolicy::chunked(512).with_waiting_served_ratio(1.5),
+            ]);
+        for space in [policy_space, space()] {
+            let sweeper = Sweeper::new(ModelParams::default());
+            let outcome = GeneticSearch::new(7).search(
+                &sweeper,
+                &space,
+                SearchBudget::evaluations(2 * space.len()),
+            );
+            assert_eq!(outcome.stats.requested, space.len());
+            let distinct: HashSet<PointKey> =
+                outcome.evaluations.iter().map(|e| PointKey::of(&e.point)).collect();
+            assert_eq!(distinct.len(), space.len());
+            // A generation breeds at most 16 children, and every stalled
+            // generation charges one new point.
+            assert!(
+                outcome.stats.revisits <= 16 * space.len(),
+                "{} revisits to cover {} points",
+                outcome.stats.revisits,
+                space.len()
+            );
+        }
     }
 }

@@ -327,6 +327,16 @@ impl<'a> Session<'a> {
         self.stats.requested
     }
 
+    /// `true` when this run has never proposed `candidate`'s design point:
+    /// it is neither evaluated, screened out, nor staged in the pending
+    /// batch. Asking does not count as a revisit.
+    pub(crate) fn is_new(&self, candidate: &Candidate) -> bool {
+        let key = PointKey::of(&self.space.materialize(candidate));
+        !self.seen.contains_key(&key)
+            && !self.rejected.contains(&key)
+            && !self.pending_index.contains_key(&key)
+    }
+
     /// Evaluates the design point addressed by `genome` — the on-grid
     /// shorthand for [`Session::evaluate_candidate`]. Returns `None` when
     /// the budget is exhausted *or* the screen rejected the point (with

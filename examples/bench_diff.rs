@@ -3,10 +3,11 @@
 //! against the checked-in `tests/golden/bench_baseline.json` and fails
 //! (exit 1) on any unexplained drift beyond the tolerance.
 //!
-//! Only seeded, event-derived quantities are gated — cache hit ratio,
-//! flush batch mean, serve batch mean, event count, and the
-//! search-budget attribution counters. Wall-clock fields (`*_ns`,
-//! `speedup`) and `threads` vary by machine and are never compared.
+//! Only seeded, deterministic quantities are gated — cache hit ratio,
+//! flush batch mean, serve batch mean, event count, the search-budget
+//! attribution counters, and the revisits of a genetic search whose
+//! budget covers its space. Wall-clock fields (`*_ns`, `speedup`) and
+//! `threads` vary by machine and are never compared.
 //!
 //! Usage:
 //!   bench_diff [--current PATH] [--baseline PATH] [--tolerance FRAC] [--bless]
@@ -26,6 +27,7 @@ const KEYS: &[&str] = &[
     "serve_batch_mean",
     "serve_retries",
     "serve_sheds",
+    "search_saturated_revisits",
     "events",
     "staged",
     "screened_out",

@@ -5,12 +5,15 @@
 //! hypervolume on the Fig 12 space within a 25% evaluation budget.
 
 use fusemax::dse::search::{
-    convergence, hypervolume_fraction, GeneticSearch, RandomSearch, SearchBudget, SearchStrategy,
-    SimulatedAnnealing, SnapPolicy,
+    convergence, hypervolume_fraction, GeneticSearch, RandomSearch, SearchBudget, SearchOutcome,
+    SearchStrategy, SimulatedAnnealing, SnapPolicy,
 };
-use fusemax::dse::{dominates, DesignSpace, Objectives, Sweeper};
+use fusemax::dse::{
+    dominates, DesignSpace, FleetSpec, Objectives, PointKey, QueueOrder, SchedulerPolicy, Sweeper,
+};
 use fusemax::model::{ConfigKind, ModelParams};
 use fusemax::workloads::TransformerConfig;
+use std::hash::{Hash, Hasher};
 
 /// The Fig 12 acceptance space: the paper's six array dimensions at 256K
 /// tokens, widened with the full configuration axis and the
@@ -495,4 +498,74 @@ fn genetic_search_issues_multi_point_batches_every_generation() {
         outcome.stats.multi_point_batches
     );
     assert!(outcome.stats.batches >= outcome.stats.multi_point_batches);
+}
+
+/// FNV-1a over the bytes a value's `Hash` impl writes.
+struct Fnv(u64);
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= byte as u64;
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
+/// Digest of a run's evaluation order: the `PointKey` of every charged
+/// point, in request order.
+fn evaluation_order_digest(outcome: &SearchOutcome) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for e in &outcome.evaluations {
+        PointKey::of(&e.point).hash(&mut h);
+    }
+    h.finish()
+}
+
+/// The serving co-design's policy × fleet space: the Fig 12 chips × six
+/// scheduler policies × three fleet shapes = 108 points.
+fn policy_fleet_space() -> DesignSpace {
+    DesignSpace::new()
+        .with_workloads([TransformerConfig::bert()])
+        .with_seq_lens([1 << 18])
+        .with_policies([
+            SchedulerPolicy::unbounded(),
+            SchedulerPolicy::chunked(256),
+            SchedulerPolicy::chunked(512),
+            SchedulerPolicy::chunked(512).with_queue_order(QueueOrder::ShortestPromptFirst),
+            SchedulerPolicy::unbounded().with_queue_order(QueueOrder::ShortestPromptFirst),
+            SchedulerPolicy::chunked(512).with_waiting_served_ratio(1.5),
+        ])
+        .with_fleets([FleetSpec::single(), FleetSpec::replicated(2), FleetSpec::replicated(4)])
+}
+
+/// Budget-limited genetic runs that never stall keep their seeded
+/// trajectories: the digests and revisit counts below were recorded
+/// before stalled generations began injecting unseen immigrants, and
+/// the selection rule must not move them.
+#[test]
+fn genetic_trajectories_without_a_stall_are_pinned() {
+    let space = policy_fleet_space();
+    assert_eq!(space.len(), 108);
+    let cases = [
+        (&space, 7, 45, 0xe98e_5ab3_a458_8144, 2),
+        (&space, 11, 45, 0x27c4_554e_48c8_1776, 3),
+        (&fig12_space(), 7, 90, 0x4ce4_f820_851c_275d, 50),
+    ];
+    for (space, seed, budget, digest, revisits) in cases {
+        let sweeper = Sweeper::new(ModelParams::default());
+        let outcome =
+            GeneticSearch::new(seed).search(&sweeper, space, SearchBudget::evaluations(budget));
+        assert_eq!(outcome.stats.requested, budget);
+        assert_eq!(
+            evaluation_order_digest(&outcome),
+            digest,
+            "seed {seed}, budget {budget}: the evaluation order drifted"
+        );
+        assert_eq!(outcome.stats.revisits, revisits, "seed {seed}, budget {budget}");
+    }
 }

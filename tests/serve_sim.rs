@@ -269,6 +269,8 @@ fn codesigned_scheduler_beats_the_best_whole_prompt_fcfs_configuration() {
         &space,
         SearchBudget::evaluations(60),
     );
+    // The budget outlasts the 36-point space, so the search covers it.
+    assert_eq!(outcome.stats.requested, space.len());
     let (best, score) = objective.rank(&outcome.evaluations, &params).remove(0);
 
     assert!(score.meets_sla, "the co-designed winner must be SLA-feasible");
