@@ -16,11 +16,13 @@
 //! times and parity verdicts — the first `BENCH_*` trajectory artifact.
 
 use criterion::Criterion;
+use fusemax_arch::ArchConfig;
 use fusemax_dse::search::{
     GeneticSearch, SearchBudget, SearchOutcome, SearchStrategy, SimulatedAnnealing,
 };
 use fusemax_dse::{DesignSpace, Objectives, Sweeper};
-use fusemax_model::{ConfigKind, ModelParams};
+use fusemax_model::mapper::mapping_evaluations;
+use fusemax_model::{layer_gemms, ConfigKind, ModelParams};
 use fusemax_serve::{
     Arrivals, FaultSpec, Fleet, FleetSpec, LengthMix, ServeObjective, ServeSim, Sla, Trace,
     TrafficSpec,
@@ -240,6 +242,15 @@ fn telemetry_json() -> String {
         SearchBudget::evaluations(space.len()),
     );
 
+    // Tilings the GEMM mapper evaluates for one BERT layer at 16K tokens:
+    // one per `(K1, M1)` pair, so a return to enumerating every `N1` as
+    // well fails the gate.
+    let cloud = ArchConfig::fusemax_cloud();
+    let mapper_evaluations: usize = layer_gemms(&TransformerConfig::bert(), 1 << 14)
+        .iter()
+        .map(|gemm| mapping_evaluations(gemm, &cloud))
+        .sum();
+
     let trace = serve_trace(120);
     let point = DesignSpace::new().with_workloads([TransformerConfig::bert()]).points().remove(4);
     let (serve_recorder, serve_sink) = VecSink::recorder();
@@ -284,7 +295,8 @@ fn telemetry_json() -> String {
         concat!(
             "{{\"search_cache_hit_ratio\":{:.4},\"search_flush_batch_mean\":{:.3},",
             "\"serve_batch_mean\":{:.3},\"serve_retries\":{},\"serve_sheds\":{},",
-            "\"search_saturated_revisits\":{},\"events\":{},\"attribution\":{}}}"
+            "\"search_saturated_revisits\":{},\"mapper_evaluations\":{},\"events\":{},",
+            "\"attribution\":{}}}"
         ),
         metrics.gauge("search.cache.hit_ratio").unwrap_or(0.0),
         metrics.histogram("search.flush_batch").map_or(0.0, |h| h.mean()),
@@ -292,6 +304,7 @@ fn telemetry_json() -> String {
         metrics.counter("serve.retries"),
         metrics.counter("serve.sheds"),
         saturated.stats.revisits,
+        mapper_evaluations,
         events.len(),
         attribution.json(),
     )

@@ -14,9 +14,22 @@
 //! * `Z` is written once if `K` is untiled, otherwise partial sums spill:
 //!   `M·N·(2·⌈K/K1⌉ − 1)` words.
 //!
-//! The search enumerates power-of-two tile candidates subject to the
-//! buffer-capacity constraint (with double buffering) and keeps the
-//! mapping with the least DRAM traffic, breaking ties toward larger tiles.
+//! Tile candidates are powers of two below each extent plus the extent
+//! itself. A tiling fits when its double-buffered live tiles,
+//! `2·(K1·M1 + (K1+M1)·N1)` words, fit the global buffer. The search picks,
+//! among the fitting tilings, the one with the least DRAM traffic; ties go
+//! to the lexicographically largest `(K1, M1, N1)`.
+//!
+//! It does not enumerate `N1`. For fixed `(K1, M1)`, `A` traffic cannot
+//! rise as `N1` grows, `B` traffic is flat until `N1 = N` makes `B`
+//! resident and then falls, and `Z` traffic does not depend on `N1`. The
+//! capacity test holds on a prefix of the sorted `N1` candidates. So the
+//! largest fitting `N1` has the least traffic of its `(K1, M1)` row and
+//! wins every tie in it: one evaluation per `(K1, M1)`. The fitting prefix
+//! also shrinks as `M1` grows, so the search finds each row's `N1` by
+//! walking down from the previous row's. Rounding is monotone, so all of
+//! this holds for the `f64` traffic, and the pruned search returns
+//! bit-for-bit the mapping the full enumeration would.
 
 use crate::common::Machine;
 use fusemax_arch::ArchConfig;
@@ -128,8 +141,11 @@ fn evaluate(problem: &GemmProblem, m: &Machine, k1: usize, m1: usize, n1: usize)
 /// Searches the tiling space for the minimum-traffic mapping that fits the
 /// global buffer (double-buffered: two copies of each live tile).
 ///
-/// Falls back to the smallest tiling if nothing fits (pathologically small
-/// buffers).
+/// The winner has the least `dram_bytes` of all fitting candidate
+/// tilings; ties go to the lexicographically largest `(K1, M1, N1)`. Only
+/// the largest fitting `N1` of each `(K1, M1)` is evaluated (see the
+/// [module docs](self) for why no other can win). Falls back to unit tiles
+/// `(1, 1, 1)` if nothing fits (pathologically small buffers).
 ///
 /// # Example
 ///
@@ -144,6 +160,55 @@ fn evaluate(problem: &GemmProblem, m: &Machine, k1: usize, m1: usize, n1: usize)
 /// assert!(mapping.is_compulsory(&problem, 2.0));
 /// ```
 pub fn search_gemm_mapping(problem: &GemmProblem, arch: &ArchConfig) -> GemmMapping {
+    search(problem, arch).0
+}
+
+/// How many tilings [`search_gemm_mapping`] evaluates for `problem` on
+/// `arch`: one per `(K1, M1)` with a fitting `N1`, or one for the unit-tile
+/// fallback.
+pub fn mapping_evaluations(problem: &GemmProblem, arch: &ArchConfig) -> usize {
+    search(problem, arch).1
+}
+
+/// The search behind [`search_gemm_mapping`], with its evaluation count.
+fn search(problem: &GemmProblem, arch: &ArchConfig) -> (GemmMapping, usize) {
+    let m = Machine::of(arch);
+    let capacity_words = m.buf / m.w / 2.0; // double buffering
+    let overflows =
+        |k1: usize, m1: usize, n1: usize| (k1 * m1 + k1 * n1 + m1 * n1) as f64 > capacity_words;
+    let (m_candidates, n_candidates) = (tile_candidates(problem.m), tile_candidates(problem.n));
+    let mut best: Option<GemmMapping> = None;
+    let mut evaluations = 0;
+    // `(K1, M1)` rises lexicographically, so `<=` hands ties to the later,
+    // larger tiling.
+    for &k1 in &tile_candidates(problem.k) {
+        // The fitting `N1` candidates form a prefix that only shrinks as
+        // `M1` grows, so one walk down it serves the whole `M1` loop.
+        let mut fitting = n_candidates.len();
+        for &m1 in &m_candidates {
+            while fitting > 0 && overflows(k1, m1, n_candidates[fitting - 1]) {
+                fitting -= 1;
+            }
+            let Some(&n1) = n_candidates[..fitting].last() else {
+                break; // nothing fits this `M1`, nor any larger one
+            };
+            let candidate = evaluate(problem, &m, k1, m1, n1);
+            evaluations += 1;
+            if best.is_none_or(|b| candidate.dram_bytes <= b.dram_bytes) {
+                best = Some(candidate);
+            }
+        }
+    }
+    match best {
+        Some(best) => (best, evaluations),
+        None => (evaluate(problem, &m, 1, 1, 1), 1),
+    }
+}
+
+/// The full enumeration of every fitting `(K1, M1, N1)`: the oracle the
+/// pruned [`search_gemm_mapping`] must match bit for bit.
+#[cfg(test)]
+fn search_gemm_mapping_brute(problem: &GemmProblem, arch: &ArchConfig) -> GemmMapping {
     let m = Machine::of(arch);
     let capacity_words = m.buf / m.w / 2.0; // double buffering
     let mut best: Option<GemmMapping> = None;
@@ -175,9 +240,35 @@ pub fn search_gemm_mapping(problem: &GemmProblem, arch: &ArchConfig) -> GemmMapp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cloud() -> ArchConfig {
         ArchConfig::fusemax_cloud()
+    }
+
+    /// Asserts the pruned search and the brute force agree bit for bit.
+    fn assert_matches_brute_force(problem: &GemmProblem, arch: &ArchConfig) {
+        let pruned = search_gemm_mapping(problem, arch);
+        let brute = search_gemm_mapping_brute(problem, arch);
+        assert_eq!(pruned, brute, "{problem} on a {} B buffer", arch.global_buffer_bytes);
+        assert_eq!(pruned.dram_bytes.to_bits(), brute.dram_bytes.to_bits());
+    }
+
+    /// An extent up to `2^max_exp`: a power of two, or a log-uniform
+    /// arbitrary value (so the extent itself is a non-power-of-two tile).
+    fn extent(max_exp: u32) -> impl Strategy<Value = usize> {
+        prop_oneof![
+            (0..max_exp + 1).prop_map(|e| 1usize << e),
+            (0.0..max_exp as f64).prop_map(|x| 2f64.powf(x).round() as usize),
+        ]
+    }
+
+    /// A buffer from 4 B to 64 MiB: a power of two or log-uniform arbitrary.
+    fn buffer_bytes() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            (2u32..27).prop_map(|e| 1u64 << e),
+            (2.0..26.0).prop_map(|x: f64| 2f64.powf(x).round() as u64),
+        ]
     }
 
     #[test]
@@ -244,6 +335,67 @@ mod tests {
         let a = search_gemm_mapping(&p, &cloud());
         let b = search_gemm_mapping(&p, &cloud());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_buffer_too_small_for_any_tile_falls_back_to_unit_tiles() {
+        // Unit tiles need 3 words, double-buffered: 12 bytes at 2 B/word.
+        let p = GemmProblem::new(64, 64, 64);
+        let mut arch = cloud();
+        arch.global_buffer_bytes = 11;
+        let m = search_gemm_mapping(&p, &arch);
+        assert_eq!((m.tile_k, m.tile_m, m.tile_n), (1, 1, 1));
+        assert_eq!(mapping_evaluations(&p, &arch), 1);
+        assert_matches_brute_force(&p, &arch);
+    }
+
+    #[test]
+    fn one_evaluation_per_fitting_k_m_pair() {
+        // Everything fits: 4 × 5 `(K1, M1)` pairs, not 4 × 5 × 8 tilings.
+        let p = GemmProblem::new(8, 16, 128);
+        assert_eq!(mapping_evaluations(&p, &cloud()), 4 * 5);
+        assert_matches_brute_force(&p, &cloud());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Property: pruning by dominance changes nothing. Covers
+        /// non-power-of-two extents, `N` up to 2^21, buffers from a few
+        /// bytes to 64 MiB and 1/2/4-byte words.
+        #[test]
+        fn pruned_search_matches_the_brute_force(
+            k in extent(13),
+            m in extent(13),
+            n in extent(21),
+            buffer in buffer_bytes(),
+            word_exp in 0u32..3,
+        ) {
+            let mut arch = cloud();
+            arch.global_buffer_bytes = buffer;
+            arch.word_bytes = 1 << word_exp;
+            assert_matches_brute_force(&GemmProblem::new(k, m, n), &arch);
+        }
+
+        /// Property: the same where `B` can become resident. The buffer
+        /// holds at least the `(K, 1, N)` tiling and at most the whole
+        /// problem, so `N1 = N` changes `B` traffic inside the space. At
+        /// either end the buffer is exactly full, which tests the capacity
+        /// boundary.
+        #[test]
+        fn pruned_search_matches_the_brute_force_when_b_can_be_resident(
+            k in extent(10),
+            m in extent(12),
+            n in extent(12),
+            fill in prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0],
+        ) {
+            let mut arch = cloud();
+            let least = (k + k * n + n) as f64;
+            let whole = (k * m + k * n + m * n) as f64;
+            let words = least + fill * (whole - least);
+            arch.global_buffer_bytes = (2.0 * arch.word_bytes as f64 * words).ceil() as u64;
+            assert_matches_brute_force(&GemmProblem::new(k, m, n), &arch);
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //!
 //! Only seeded, deterministic quantities are gated — cache hit ratio,
 //! flush batch mean, serve batch mean, event count, the search-budget
-//! attribution counters, and the revisits of a genetic search whose
-//! budget covers its space. Wall-clock fields (`*_ns`, `speedup`) and
-//! `threads` vary by machine and are never compared.
+//! attribution counters, the revisits of a genetic search whose budget
+//! covers its space, and the tilings the GEMM mapper evaluates for one
+//! BERT layer. Wall-clock fields (`*_ns`, `speedup`) and `threads` vary
+//! by machine and are never compared.
 //!
 //! Usage:
 //!   bench_diff [--current PATH] [--baseline PATH] [--tolerance FRAC] [--bless]
@@ -28,6 +29,7 @@ const KEYS: &[&str] = &[
     "serve_retries",
     "serve_sheds",
     "search_saturated_revisits",
+    "mapper_evaluations",
     "events",
     "staged",
     "screened_out",
